@@ -1,10 +1,11 @@
 """perf-charter command line: characterize / roofline / schedule.
 
 stdout carries the human-readable report (6 significant digits); machine
-outputs go to files in --out (JSON/CSV at full precision, SVG plots).  All
-files are written atomically after the computation succeeds, so a failing run
-leaves no partial outputs.  Exit codes: 2 ingestion errors, 3 analysis
-errors, 4 search-space guard.
+outputs go to files in --out (JSON/CSV at full precision, SVG plots).  Each
+command renders all of its files (and validates every schedule) before
+``_write_outputs`` writes them atomically, so a failing run leaves no partial
+outputs.  Exit codes: 2 ingestion errors (unreadable, non-UTF-8 or invalid
+input), 3 analysis errors, 4 search-space guard.
 """
 
 from __future__ import annotations
@@ -29,17 +30,24 @@ def _detect_format(path: Path) -> str:
 
 
 def _read_text(path: str | Path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _write_outputs(out: str, files: dict[str, str]) -> None:
+    """Write every rendered file under ``out``, each one atomically."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        tmp = out_dir / (name + ".tmp")
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, out_dir / name)
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _g(x: float) -> str:
@@ -92,47 +100,38 @@ def cmd_characterize(args) -> int:
     reps = clus.select_representatives(clusters, dist, matrix.workload_names)
     report = clus.coverage(matrix, reps)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "pca.json", _dump_json(stats.pca_to_dict(pca)))
-    _write_atomic(
-        out / "dendrogram.json",
-        _dump_json(
+    files = {
+        "pca.json": _dump_json(stats.pca_to_dict(pca)),
+        "dendrogram.json": _dump_json(
             {
                 "leaves": dendrogram.leaves,
                 "merges": [[m.left, m.right, m.height, m.size] for m in dendrogram.merges],
             }
         ),
-    )
-    _write_atomic(
-        out / "dendrogram.svg",
-        svg.dendrogram_svg(dendrogram, threshold if math.isfinite(threshold) else None),
-    )
-    _write_atomic(
-        out / "subset_report.json",
-        _dump_json(
+        "dendrogram.svg": svg.dendrogram_svg(
+            dendrogram, threshold if math.isfinite(threshold) else None
+        ),
+        "subset_report.json": _dump_json(
             {
                 "selected": report.selected,
                 "coverage": {m: list(v) for m, v in report.coverage.items()},
                 "degenerate": report.degenerate,
             }
         ),
-    )
+    }
     if pca.projections.shape[1] >= 2:
         suites = {p.name: p.suite.value for p in profiles}
         dom1 = stats.dominant_metric(pca, 0)[0]
         dom2 = stats.dominant_metric(pca, 1)[0]
-        _write_atomic(
-            out / "pca_scatter.svg",
-            svg.scatter_svg(
-                matrix.workload_names,
-                [float(v) for v in pca.projections[:, 0]],
-                [float(v) for v in pca.projections[:, 1]],
-                f"PC1 ({_g(100 * pca.explained[0])}%, {dom1})",
-                f"PC2 ({_g(100 * pca.explained[1])}%, {dom2})",
-                suites=suites,
-            ),
+        files["pca_scatter.svg"] = svg.scatter_svg(
+            matrix.workload_names,
+            [float(v) for v in pca.projections[:, 0]],
+            [float(v) for v in pca.projections[:, 1]],
+            f"PC1 ({_g(100 * pca.explained[0])}%, {dom1})",
+            f"PC2 ({_g(100 * pca.explained[1])}%, {dom2})",
+            suites=suites,
         )
+    _write_outputs(args.out, files)
 
     print(f"workloads: {len(matrix.workload_names)}  metrics: {len(pca.metric_names)}"
           + (f"  (dropped: {', '.join(pca.dropped_metrics)})" if pca.dropped_metrics else ""))
@@ -158,7 +157,7 @@ def cmd_characterize(args) -> int:
 
 def cmd_roofline(args) -> int:
     machine_path = Path(args.machine) if args.machine else sample_path("machine.json")
-    machine = roof.machine_from_dict(json.loads(_read_text(machine_path)))
+    machine = roof.parse_machine(_read_text(machine_path))
     multi = len(args.kernels) > 1
     points: list[roof.RooflinePoint] = []
     for path_str in args.kernels:
@@ -194,12 +193,15 @@ def cmd_roofline(args) -> int:
                     file=sys.stderr,
                 )
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["name,intensity,throughput,classification"]
     lines += [f"{n},{repr(i)},{repr(t)},{c}" for n, i, t, c in rows]
-    _write_atomic(out / "roofline.csv", "\n".join(lines) + "\n")
-    _write_atomic(out / "roofline.svg", svg.roofline_svg(machine, points))
+    _write_outputs(
+        args.out,
+        {
+            "roofline.csv": "\n".join(lines) + "\n",
+            "roofline.svg": svg.roofline_svg(machine, points),
+        },
+    )
 
     print(f"machine {machine.name}: single-precision ridge at "
           f"{_g(machine.ridge('single'))} FLOPs/byte")
@@ -220,13 +222,12 @@ def cmd_schedule(args) -> int:
         best = sched.exact_schedule(jobs, cluster_spec)
     else:
         best = sched.heuristic_schedule(jobs, cluster_spec)
+    sched.validate_schedule(naive, cluster_spec, jobs)
+    sched.validate_schedule(best, cluster_spec, jobs)
     saved = sched.savings(naive, best)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(
-        out / "schedule.json",
-        _dump_json(
+    files = {
+        "schedule.json": _dump_json(
             {
                 "gpu_count": cluster_spec.gpu_count,
                 "placements": [
@@ -243,16 +244,19 @@ def cmd_schedule(args) -> int:
                 "method": args.method,
             }
         ),
-    )
-    _write_atomic(out / "gantt.svg", svg.gantt_svg(best, cluster_spec.gpu_count))
-
-    print(f"jobs: {len(jobs)}  gpus: {cluster_spec.gpu_count}  "
-          f"widths: {','.join(map(str, cluster_spec.allowed_widths))}")
-    print(f"naive makespan:    {_g(naive.makespan)} min")
+        "gantt.svg": svg.gantt_svg(best, cluster_spec.gpu_count),
+    }
     suffix = f" (explored {explored} candidates)" if explored is not None else ""
-    print(f"{args.method} makespan: {_g(best.makespan)} min{suffix}")
-    print(f"savings: {_g(saved)} min ({_g(saved / 60)} h)")
-    print(sched.ascii_gantt(best, cluster_spec.gpu_count), end="")
+    report = (
+        f"jobs: {len(jobs)}  gpus: {cluster_spec.gpu_count}  "
+        f"widths: {','.join(map(str, cluster_spec.allowed_widths))}\n"
+        f"naive makespan:    {_g(naive.makespan)} min\n"
+        f"{args.method} makespan: {_g(best.makespan)} min{suffix}\n"
+        f"savings: {_g(saved)} min ({_g(saved / 60)} h)\n"
+        + sched.ascii_gantt(best, cluster_spec.gpu_count)
+    )
+    _write_outputs(args.out, files)
+    print(report, end="")
     return 0
 
 
@@ -306,9 +310,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: missing input: {exc}", file=sys.stderr)
-        return 2
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

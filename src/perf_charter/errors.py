@@ -31,8 +31,8 @@ class DuplicateWorkloadName(ParseError):
 
 
 class NonNumericCell(ParseError):
-    def __init__(self, line: int, column: str, value: str):
-        super().__init__(f"line {line}, column {column!r}: not a number: {value!r}")
+    def __init__(self, line: int, column: str, value: str, expected: str = "a number"):
+        super().__init__(f"line {line}, column {column!r}: not {expected}: {value!r}")
         self.line = line
         self.column = column
         self.value = value

@@ -6,6 +6,14 @@ File schemas:
   jobs.csv      header ``name,t1_minutes,s2,s4,...`` (any ``s<k>`` columns).
   kernels.csv   header ``class,time_ms,calls,unique,flops,transactions``.
 
+Both formats go through one path: ``_read_rows`` turns either into
+``(line, {field: raw cell})`` rows (CSV cells are stripped strings, blank as
+None; JSON must be a list of objects), and one validator per schema applies
+the same checks to both.  A number is a non-bool int or float, or a string
+that parses to a finite number; a count is a whole number >= 0; a name is a
+non-empty string after stripping; None (a blank CSV cell, a JSON null or a
+missing key) means absent.  Every rejection is a ``ParseError``.
+
 All parsers take decoded text; UTF-8 decoding and path handling live in the
 CLI.  Everything here is pure over immutable inputs.
 """
@@ -18,6 +26,7 @@ import io
 import json
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +56,6 @@ CANONICAL_METRICS = (
 )
 
 _CANONICAL_INDEX = {name: i for i, name in enumerate(CANONICAL_METRICS)}
-
-
-def is_canonical_metric(name: str) -> bool:
-    return name in _CANONICAL_INDEX
 
 
 def metric_order_key(name: str, appearance: int = 0) -> tuple[int, int]:
@@ -164,91 +169,139 @@ class Job:
         object.__setattr__(self, "speedup", normalized)
 
 
-# --- profiles ---------------------------------------------------------------
+# --- ingestion: one row reader, shared checks ---------------------------------
 
 
-def _parse_value(cell: str, line: int, column: str) -> float:
+def _read_rows(text: str, format: str) -> tuple[list[str] | None, Iterator[tuple[int, dict]]]:
+    """Split either format into ``(header, rows)``.
+
+    ``header`` is the stripped CSV header (None for JSON).  ``rows`` yields
+    ``(line, {field: raw cell})``: CSV cells are stripped strings with blank as
+    None, blank rows are skipped and the header is line 1; a JSON entry's line
+    is its 1-based index and its cells are the decoded values.
+    """
+    if format == "csv":
+        reader = csv.reader(io.StringIO(text))
+        try:
+            table = list(reader)
+        except csv.Error as exc:
+            raise MalformedRow(reader.line_num, str(exc)) from None
+        header = [h.strip() for h in table[0]] if table else []
+        if not header:
+            raise MalformedRow(1, "empty input")
+        if len(set(header)) != len(header):
+            raise MalformedRow(1, "duplicate column")
+        return header, _csv_rows(header, table)
+    if format == "json":
+        entries = _load_json(text)
+        if type(entries) is not list:
+            raise MalformedRow(1, "JSON input must be a list of objects")
+        return None, _json_rows(entries)
+    raise ValueError(f"unknown format {format!r}")
+
+
+def _csv_rows(header: list[str], table: list[list[str]]) -> Iterator[tuple[int, dict]]:
+    for line, row in enumerate(table[1:], start=2):
+        cells = [c.strip() for c in row]
+        if not any(cells):
+            continue
+        if len(cells) != len(header):
+            raise MalformedRow(line, f"expected {len(header)} fields, got {len(cells)}")
+        yield line, dict(zip(header, [c or None for c in cells]))
+
+
+def _json_rows(entries: list) -> Iterator[tuple[int, dict]]:
+    for line, entry in enumerate(entries, start=1):
+        if type(entry) is not dict:
+            raise MalformedRow(line, "entry must be an object")
+        yield line, entry
+
+
+def _load_json(text: str):
+    """Decode JSON text; any decoding failure is a MalformedRow."""
     try:
-        value = float(cell)
-    except ValueError:
-        raise NonNumericCell(line, column, cell) from None
-    if not math.isfinite(value):
-        raise MalformedRow(line, f"column {column!r}: non-finite value {cell!r}")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedRow(getattr(exc, "lineno", 1), f"invalid JSON: {exc}") from None
+
+
+def _number(value, line: int, column: str) -> float:
+    """A non-bool int or float, or a string that parses to a finite number."""
+    kind = type(value)
+    if kind is float:
+        number = value
+    elif kind is int or kind is str:
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        except ValueError:
+            raise NonNumericCell(line, column, value) from None
+    elif value is None:
+        raise MalformedRow(line, f"column {column!r}: missing value")
+    else:
+        raise NonNumericCell(line, column, repr(value))
+    if not math.isfinite(number):
+        raise MalformedRow(line, f"column {column!r}: non-finite value {value!r}")
+    return number
+
+
+def _count(value, line: int, column: str) -> int:
+    """A whole number >= 0: never truncated, and a bool is not a number."""
+    if type(value) is int and value >= 0:
+        return value
+    if type(value) is str:
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if type(value) is not int:
+        number = _number(value, line, column)
+        if not number.is_integer():
+            shown = value if type(value) is str else repr(value)
+            raise NonNumericCell(line, column, shown, "a whole number")
+        value = int(number)
+    if value < 0:
+        raise MalformedRow(line, f"column {column!r}: negative count {value}")
     return value
+
+
+def _name(value, line: int, what: str) -> str:
+    """A non-empty string after stripping."""
+    if type(value) is str:
+        value = value.strip()
+        if value:
+            return value
+    raise MalformedRow(line, f"{what} name must be a non-empty string, got {value!r}")
+
+
+# --- profiles ---------------------------------------------------------------
 
 
 def parse_workload_profiles(text: str, format: str = "csv") -> list[WorkloadProfile]:
     """Ingest per-workload metric rows; missing cells stay absent per profile."""
-    if format == "csv":
-        return _profiles_from_csv(text)
-    if format == "json":
-        return _profiles_from_json(text)
-    raise ValueError(f"unknown format {format!r}")
-
-
-def _profiles_from_csv(text: str) -> list[WorkloadProfile]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow(1, "empty input") from None
-    header = [h.strip() for h in header]
-    if len(header) < 2 or header[0] != "name" or header[1] != "suite":
+    header, rows = _read_rows(text, format)
+    if header is not None and header[:2] != ["name", "suite"]:
         raise MalformedRow(1, "header must start with 'name,suite'")
-    metric_cols = header[2:]
-    if len(set(metric_cols)) != len(metric_cols):
-        raise MalformedRow(1, "duplicate metric column")
     profiles: list[WorkloadProfile] = []
     seen: set[str] = set()
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(row)}")
-        name = row[0].strip()
-        if not name:
-            raise MalformedRow(line_no, "empty workload name")
+    for line, row in rows:
+        name = _name(row.get("name"), line, "workload")
         if name in seen:
             raise DuplicateWorkloadName(name)
         seen.add(name)
-        metrics: dict[str, float] = {}
-        for col, cell in zip(metric_cols, row[2:]):
-            cell = cell.strip()
-            if cell == "":
-                continue  # missing -> column dropped later
-            metrics[col] = _parse_value(cell, line_no, col)
+        suite = row.get("suite")
+        if suite is not None and type(suite) is not str:
+            raise MalformedRow(line, f"suite must be a string, got {suite!r}")
+        metrics = {
+            key: _number(value, line, key)
+            for key, value in row.items()
+            if value is not None and key != "name" and key != "suite"
+        }
         try:
-            profiles.append(WorkloadProfile(name, Suite.from_label(row[1]), metrics))
+            profiles.append(WorkloadProfile(name, Suite.from_label(suite or ""), metrics))
         except ValueError as exc:
-            raise MalformedRow(line_no, str(exc)) from None
-    return profiles
-
-
-def _profiles_from_json(text: str) -> list[WorkloadProfile]:
-    entries = json.loads(text)
-    if not isinstance(entries, list):
-        raise MalformedRow(1, "JSON profiles must be a list of objects")
-    profiles: list[WorkloadProfile] = []
-    seen: set[str] = set()
-    for idx, entry in enumerate(entries, start=1):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise MalformedRow(idx, "entry must be an object with a 'name'")
-        name = str(entry["name"])
-        if name in seen:
-            raise DuplicateWorkloadName(name)
-        seen.add(name)
-        suite = Suite.from_label(str(entry.get("suite", "Other")))
-        metrics: dict[str, float] = {}
-        for key, value in entry.items():
-            if key in ("name", "suite") or value is None:
-                continue
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise NonNumericCell(idx, key, repr(value))
-            metrics[key] = float(value)
-        try:
-            profiles.append(WorkloadProfile(name, suite, metrics))
-        except ValueError as exc:
-            raise MalformedRow(idx, str(exc)) from None
+            raise MalformedRow(line, str(exc)) from None
     return profiles
 
 
@@ -310,90 +363,49 @@ def serialize_profiles(
 
 def parse_jobs(text: str, format: str = "csv") -> list[Job]:
     """Ingest the scalability table; width-1 speedup 1.0 is implied."""
-    if format == "csv":
-        return _jobs_from_csv(text)
-    if format == "json":
-        return _jobs_from_json(text)
-    raise ValueError(f"unknown format {format!r}")
+    header, rows = _read_rows(text, format)
+    if header is not None:
+        if header[:2] != ["name", "t1_minutes"]:
+            raise MalformedRow(1, "header must start with 'name,t1_minutes'")
+        widths = [_width_from_column(col, 1) for col in header[2:]]
+        if len(set(widths)) != len(widths):
+            raise MalformedRow(1, "duplicate speedup column")
+    jobs: list[Job] = []
+    seen: set[str] = set()
+    for line, row in rows:
+        name = _name(row.get("name"), line, "job")
+        if name in seen:
+            raise DuplicateJobName(name)
+        seen.add(name)
+        t1 = _number(row.get("t1_minutes"), line, "t1_minutes")
+        if not t1 > 0:
+            raise NonPositiveTime(f"line {line}: t1_minutes must be > 0")
+        speedup: dict[int, float] = {}
+        for key, value in row.items():
+            if value is None or key == "name" or key == "t1_minutes":
+                continue
+            width = _width_from_column(key, line)
+            if width in speedup:
+                raise MalformedRow(line, f"duplicate speedup column {key!r}")
+            value = _number(value, line, key)
+            if not value > 0:
+                raise NonPositiveSpeedup(f"line {line}: {key} must be > 0")
+            if width == 1 and value != 1.0:
+                raise MalformedRow(line, "width-1 speedup must be 1.0")
+            runtime = t1 / value
+            if not (math.isfinite(runtime) and runtime > 0):
+                raise MalformedRow(
+                    line, f"runtime t1_minutes/{key} = {runtime!r} is not finite and > 0"
+                )
+            speedup[width] = value
+        jobs.append(Job(name, t1, speedup))
+    return jobs
 
 
 def _width_from_column(col: str, line: int) -> int:
-    if not (col.startswith("s") and col[1:].isdigit() and int(col[1:]) >= 1):
+    if not (col.startswith("s") and col[1:].isdecimal() and int(col[1:]) >= 1):
         raise MalformedRow(line, f"speedup column must look like 's<k>', got {col!r}")
     return int(col[1:])
-
-
-def _jobs_from_csv(text: str) -> list[Job]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise MalformedRow(1, "empty input") from None
-    if len(header) < 2 or header[0] != "name" or header[1] != "t1_minutes":
-        raise MalformedRow(1, "header must start with 'name,t1_minutes'")
-    widths = [_width_from_column(col, 1) for col in header[2:]]
-    if len(set(widths)) != len(widths):
-        raise MalformedRow(1, "duplicate speedup column")
-    jobs: list[Job] = []
-    seen: set[str] = set()
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(row)}")
-        name = row[0].strip()
-        if not name:
-            raise MalformedRow(line_no, "empty job name")
-        if name in seen:
-            raise DuplicateJobName(name)
-        seen.add(name)
-        t1 = _parse_value(row[1].strip(), line_no, "t1_minutes")
-        if not t1 > 0:
-            raise NonPositiveTime(f"line {line_no}: t1_minutes must be > 0")
-        speedup: dict[int, float] = {}
-        for width, cell in zip(widths, row[2:]):
-            cell = cell.strip()
-            if cell == "":
-                continue
-            value = _parse_value(cell, line_no, f"s{width}")
-            if not value > 0:
-                raise NonPositiveSpeedup(f"line {line_no}: s{width} must be > 0")
-            if width == 1 and value != 1.0:
-                raise MalformedRow(line_no, "width-1 speedup must be 1.0")
-            speedup[width] = value
-        jobs.append(Job(name, t1, speedup))
-    return jobs
-
-
-def _jobs_from_json(text: str) -> list[Job]:
-    entries = json.loads(text)
-    if not isinstance(entries, list):
-        raise MalformedRow(1, "JSON jobs must be a list of objects")
-    jobs: list[Job] = []
-    seen: set[str] = set()
-    for idx, entry in enumerate(entries, start=1):
-        if not isinstance(entry, dict) or "name" not in entry or "t1_minutes" not in entry:
-            raise MalformedRow(idx, "entry must carry 'name' and 't1_minutes'")
-        name = str(entry["name"])
-        if name in seen:
-            raise DuplicateJobName(name)
-        seen.add(name)
-        t1 = float(entry["t1_minutes"])
-        if not t1 > 0:
-            raise NonPositiveTime(f"entry {idx}: t1_minutes must be > 0")
-        speedup: dict[int, float] = {}
-        for key, value in entry.items():
-            if key in ("name", "t1_minutes") or value is None:
-                continue
-            width = _width_from_column(key, idx)
-            value = float(value)
-            if not value > 0:
-                raise NonPositiveSpeedup(f"entry {idx}: {key} must be > 0")
-            if width == 1 and value != 1.0:
-                raise MalformedRow(idx, "width-1 speedup must be 1.0")
-            speedup[width] = value
-        jobs.append(Job(name, t1, speedup))
-    return jobs
 
 
 def serialize_jobs(jobs: list[Job], format: str = "csv") -> str:
@@ -424,71 +436,25 @@ _KERNEL_FIELDS = ("class", "time_ms", "calls", "unique", "flops", "transactions"
 
 
 def parse_kernels(text: str, format: str = "csv") -> list[KernelRecord]:
-    if format == "csv":
-        return _kernels_from_csv(text)
-    if format == "json":
-        return _kernels_from_json(text)
-    raise ValueError(f"unknown format {format!r}")
-
-
-def _parse_count(cell: str, line: int, column: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise NonNumericCell(line, column, cell) from None
-
-
-def _kernels_from_csv(text: str) -> list[KernelRecord]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = tuple(h.strip() for h in next(reader))
-    except StopIteration:
-        raise MalformedRow(1, "empty input") from None
-    if header != _KERNEL_FIELDS:
+    header, rows = _read_rows(text, format)
+    if header is not None and tuple(header) != _KERNEL_FIELDS:
         raise MalformedRow(1, f"header must be {','.join(_KERNEL_FIELDS)}")
     records: list[KernelRecord] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(_KERNEL_FIELDS):
-            raise MalformedRow(line_no, f"expected {len(_KERNEL_FIELDS)} fields, got {len(row)}")
+    for line, row in rows:
+        get = row.get
         try:
             records.append(
                 KernelRecord(
-                    class_name=row[0].strip(),
-                    time_ms=_parse_value(row[1].strip(), line_no, "time_ms"),
-                    calls=_parse_count(row[2].strip(), line_no, "calls"),
-                    unique_kernels=_parse_count(row[3].strip(), line_no, "unique"),
-                    flops=_parse_count(row[4].strip(), line_no, "flops"),
-                    transactions=_parse_count(row[5].strip(), line_no, "transactions"),
+                    class_name=_name(get("class"), line, "kernel class"),
+                    time_ms=_number(get("time_ms"), line, "time_ms"),
+                    calls=_count(get("calls"), line, "calls"),
+                    unique_kernels=_count(get("unique"), line, "unique"),
+                    flops=_count(get("flops"), line, "flops"),
+                    transactions=_count(get("transactions"), line, "transactions"),
                 )
             )
         except ValueError as exc:
-            raise MalformedRow(line_no, str(exc)) from None
-    return records
-
-
-def _kernels_from_json(text: str) -> list[KernelRecord]:
-    entries = json.loads(text)
-    if not isinstance(entries, list):
-        raise MalformedRow(1, "JSON kernels must be a list of objects")
-    records: list[KernelRecord] = []
-    for idx, entry in enumerate(entries, start=1):
-        if not isinstance(entry, dict) or "class" not in entry:
-            raise MalformedRow(idx, "entry must be an object with a 'class'")
-        try:
-            records.append(
-                KernelRecord(
-                    class_name=str(entry["class"]),
-                    time_ms=float(entry["time_ms"]),
-                    calls=int(entry["calls"]),
-                    unique_kernels=int(entry["unique"]),
-                    flops=int(entry["flops"]),
-                    transactions=int(entry["transactions"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedRow(idx, str(exc)) from None
+            raise MalformedRow(line, str(exc)) from None
     return records
 
 
@@ -528,6 +494,8 @@ def kernel_summary(
     """
     if not records:
         raise EmptyInput("kernel_summary needs at least one record")
+    if not transaction_bytes > 0:
+        raise ValueError("transaction_bytes must be > 0")
     total_flops = sum(r.flops for r in records)
     total_bytes = sum(r.transactions for r in records) * transaction_bytes
     total_time_s = math.fsum(r.time_ms for r in records) / 1e3

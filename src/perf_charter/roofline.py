@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptyInput, NonPositiveTime, UnknownPrecision, ZeroTotalTime
-from .model import KernelRecord
+from .errors import MalformedRow, NonPositiveTime, UnknownPrecision, ZeroTotalTime
+from .model import KernelRecord, _load_json, _name, _number, kernel_summary
 
 PRECISIONS = ("double", "single", "half")
 
@@ -30,7 +30,6 @@ class MachineModel:
     name: str
     peaks: dict[str, float]            # precision -> GFLOP/s
     mem_bandwidth_gbps: float
-    extra_bandwidths: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         for precision, peak in self.peaks.items():
@@ -38,9 +37,6 @@ class MachineModel:
                 raise ValueError(f"peak({precision}) must be > 0")
         if not self.mem_bandwidth_gbps > 0:
             raise ValueError("mem_bandwidth_gbps must be > 0")
-        for label, bw in self.extra_bandwidths.items():
-            if not bw > 0:
-                raise ValueError(f"bandwidth {label!r} must be > 0")
         ladder = [self.peaks.get(p) for p in ("double", "single", "half")]
         known = [p for p in ladder if p is not None]
         if known != sorted(known):
@@ -59,14 +55,22 @@ class MachineModel:
 
 
 def machine_from_dict(data: dict) -> MachineModel:
-    return MachineModel(
-        name=str(data["name"]),
-        peaks={k: float(v) for k, v in data["peaks"].items()},
-        mem_bandwidth_gbps=float(data["mem_bandwidth_gbps"]),
-        extra_bandwidths={
-            k: float(v) for k, v in data.get("extra_bandwidths", {}).items()
-        },
-    )
+    """Validate a decoded machine config; every defect is a ParseError."""
+    if type(data) is not dict or type(data.get("peaks")) is not dict:
+        raise MalformedRow(1, "machine config must be an object with a 'peaks' object")
+    try:
+        return MachineModel(
+            name=_name(data.get("name"), 1, "machine"),
+            peaks={k: _number(v, 1, f"peaks.{k}") for k, v in data["peaks"].items()},
+            mem_bandwidth_gbps=_number(data.get("mem_bandwidth_gbps"), 1, "mem_bandwidth_gbps"),
+        )
+    except ValueError as exc:
+        raise MalformedRow(1, str(exc)) from None
+
+
+def parse_machine(text: str) -> MachineModel:
+    """Machine config from JSON text, through the same decoder as the datasets."""
+    return machine_from_dict(_load_json(text))
 
 
 @dataclass(frozen=True)
@@ -119,16 +123,13 @@ def workload_point(
     precision: str = "single",
 ) -> RooflinePoint:
     """Aggregate one workload's kernel classes into a single roofline point."""
-    if not records:
-        raise EmptyInput("workload_point needs at least one record")
-    total_flops = sum(r.flops for r in records)
-    total_transactions = sum(r.transactions for r in records)
-    total_time_s = math.fsum(r.time_ms for r in records) / 1e3
+    total_flops, total_bytes, total_time_s = kernel_summary(records, transaction_bytes)
     if total_time_s == 0:
         raise ZeroTotalTime(f"{name}: zero total kernel time")
     return RooflinePoint(
         name=name,
-        intensity=intensity(total_flops, total_transactions, transaction_bytes),
+        # the byte total already carries transaction_bytes
+        intensity=intensity(total_flops, total_bytes, 1),
         throughput=throughput(total_flops, total_time_s),
         precision=precision,
     )

@@ -7,16 +7,14 @@ cache once up front.
 """
 
 import math
-import os
 import random
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
 import perf_charter as pc
+from cli_helpers import run_cli
 from conftest import soft_note
 from oracle_helpers import brute_force_makespan, check_schedule, symmetric_3x3_eigenvalues
 
@@ -225,15 +223,6 @@ def test_criterion_8_roofline_properties(default_machine):
     assert len(labels) == 7
 
 
-def _run_cli(args, threads):
-    env = dict(os.environ)
-    env["PERF_CHARTER_THREADS"] = threads
-    return subprocess.run(
-        [sys.executable, "-m", "perf_charter.cli", *args],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-
-
 @pytest.mark.acceptance(9, label="byte-identical reruns at PERF_CHARTER_THREADS=1 and 8")
 def test_criterion_9_determinism(tmp_path):
     profiles = str(pc.sample_path("profiles.csv"))
@@ -243,13 +232,15 @@ def test_criterion_9_determinism(tmp_path):
     for threads in ("1", "8"):
         for repeat in ("a", "b"):
             base = tmp_path / f"t{threads}{repeat}"
+            env = {"PERF_CHARTER_THREADS": threads}
             runs = [
-                _run_cli(["characterize", "--profiles", profiles, "--k", "4",
-                          "--out", str(base / "chr")], threads),
-                _run_cli(["roofline", "--kernels", kernels,
-                          "--out", str(base / "roof")], threads),
-                _run_cli(["schedule", "--jobs", jobs, "--gpus", "4",
-                          "--method", "permutation", "--out", str(base / "sch")], threads),
+                run_cli("characterize", "--profiles", profiles, "--k", "4",
+                        "--out", str(base / "chr"), env_extra=env),
+                run_cli("roofline", "--kernels", kernels,
+                        "--out", str(base / "roof"), env_extra=env),
+                run_cli("schedule", "--jobs", jobs, "--gpus", "4",
+                        "--method", "permutation", "--out", str(base / "sch"),
+                        env_extra=env),
             ]
             assert all(r.returncode == 0 for r in runs), [r.stderr for r in runs]
             outputs[(threads, repeat)] = {
