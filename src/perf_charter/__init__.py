@@ -5,7 +5,6 @@ Submodules mirror the pipeline stages: model (types + ingestion), stats
 (schedulers), svg (plot emitters), cli (front end).
 """
 
-from ._kernels import BACKEND, JIT_ENABLED
 from .cluster import (
     Dendrogram,
     Merge,

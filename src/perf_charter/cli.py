@@ -4,8 +4,10 @@ stdout carries the human-readable report (6 significant digits); machine
 outputs go to files in --out (JSON/CSV at full precision, SVG plots).  Each
 command renders all of its files (and validates every schedule) before
 ``_write_outputs`` writes them atomically, so a failing run leaves no partial
-outputs.  Exit codes: 2 ingestion errors (unreadable, non-UTF-8 or invalid
-input), 3 analysis errors, 4 search-space guard.
+outputs.  Inputs are read as UTF-8, with or without a byte-order mark.  Exit
+codes: 2 ingestion errors (unreadable, non-UTF-8 or invalid input) and output
+errors (an --out that cannot be created or written), 3 analysis errors, 4
+search-space guard.
 """
 
 from __future__ import annotations
@@ -22,7 +24,14 @@ from . import model, stats, svg
 from . import roofline as roof
 from . import sched
 from .datafiles import sample_path
-from .errors import AnalysisError, EmptyInput, ParseError, PerfCharterError, SearchSpaceTooLarge
+from .errors import (
+    AnalysisError,
+    EmptyInput,
+    OutputError,
+    ParseError,
+    PerfCharterError,
+    SearchSpaceTooLarge,
+)
 
 
 def _detect_format(path: Path) -> str:
@@ -31,7 +40,7 @@ def _detect_format(path: Path) -> str:
 
 def _read_text(path: str | Path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
@@ -39,11 +48,14 @@ def _read_text(path: str | Path) -> str:
 def _write_outputs(out: str, files: dict[str, str]) -> None:
     """Write every rendered file under ``out``, each one atomically."""
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        tmp = out_dir / (name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, out_dir / name)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            tmp = out_dir / (name + ".tmp")
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, out_dir / name)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out}: {exc}") from None
 
 
 def _dump_json(obj) -> str:
@@ -310,7 +322,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchSpaceTooLarge as exc:

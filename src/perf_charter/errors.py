@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-ParseError subclasses map to CLI exit code 2, AnalysisError subclasses to 3,
-SearchSpaceTooLarge to 4.
+ParseError subclasses and OutputError map to CLI exit code 2, AnalysisError
+subclasses to 3, SearchSpaceTooLarge to 4.
 """
 
 
@@ -15,6 +15,10 @@ class ParseError(PerfCharterError):
 
 class AnalysisError(PerfCharterError):
     """Ingested data violates an analysis precondition."""
+
+
+class OutputError(PerfCharterError):
+    """An output file could not be written."""
 
 
 # --- ingestion -------------------------------------------------------------

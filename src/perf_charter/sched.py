@@ -13,20 +13,16 @@ Four schedulers over the same Job/ClusterSpec inputs:
 
 Jobs are moldable (width fixed at launch) and non-preemptive; no interpolation
 between measured widths.  GPU identity never affects makespans; concrete ids
-are assigned lowest-index-first for rendering.
+are assigned lowest-index-first for rendering.  Every scheduler is plain,
+single-threaded Python, so a result depends on its inputs alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .errors import (
     AnalysisError,
     JobSetMismatch,
@@ -34,19 +30,6 @@ from .errors import (
     UnsupportedWidth,
 )
 from .model import Job
-
-
-def worker_count() -> int:
-    """Worker cap from PERF_CHARTER_THREADS (default: hardware parallelism)."""
-    raw = os.environ.get("PERF_CHARTER_THREADS")
-    default = os.cpu_count() or 1
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(1, value)
 
 
 # hard ceiling on width-vector x permutation candidates, independent of the
@@ -216,15 +199,68 @@ def _incumbent_schedules(jobs: list[Job], cluster: ClusterSpec) -> list[Schedule
     return candidates
 
 
+def _best_list_makespan(
+    runtimes: list[tuple[float, ...]],
+    widths: list[tuple[int, ...]],
+    perms: list[tuple[int, ...]],
+    gpu_count: int,
+) -> tuple[float, int, int]:
+    """Least greedy-list makespan over every (width vector, priority order).
+
+    ``widths[c]``/``runtimes[c]`` give each job's width and runtime in width
+    vector ``c``; ``perms`` are the priority orders.  The simulation is
+    ``list_schedule``'s without GPU ids: start every fitting job in priority
+    order, then advance to the earliest end and release every job ending
+    there.  Returns ``(makespan, combo, perm)`` of the first strict minimum in
+    (combo, perm) enumeration order.
+    """
+    best = (math.inf, -1, -1)
+    for c, (rts, ws) in enumerate(zip(runtimes, widths)):
+        for p, order in enumerate(perms):
+            waiting = order
+            running: list[tuple[float, int]] = []
+            free = gpu_count
+            t = 0.0
+            makespan = 0.0
+            while True:
+                blocked = []
+                for j in waiting:
+                    w = ws[j]
+                    if w <= free:
+                        free -= w
+                        e = t + rts[j]
+                        running.append((e, w))
+                        if e > makespan:
+                            makespan = e
+                    else:
+                        blocked.append(j)
+                if not blocked:
+                    break
+                # every width fits an idle cluster, so something is running
+                waiting = blocked
+                t = min(e for e, _ in running)
+                still = []
+                for e, w in running:
+                    if e == t:
+                        free += w
+                    else:
+                        still.append((e, w))
+                running = still
+            if makespan < best[0]:
+                best = (makespan, c, p)
+    return best
+
+
 def permutation_search(
     jobs: list[Job], cluster: ClusterSpec, limit: int = 8
 ) -> tuple[Schedule, int]:
     """Exhaustive search over (width vector) x (priority permutation).
 
-    Cost is prod|options| * n!, so n is guarded by ``limit``.  Ties resolve to
-    the lexicographically smallest (width vector, permutation).  The candidate
-    space is chunked across worker threads (PERF_CHARTER_THREADS) with a
-    deterministic merge, so the result is independent of the worker count.
+    Cost is prod|options| * n!, so n is guarded by ``limit``.  Every candidate
+    is simulated by one plain-Python loop (``_best_list_makespan``); ties
+    resolve to the lexicographically smallest (width vector, permutation),
+    and the winner is rebuilt with ``list_schedule``, which must agree on the
+    makespan.
     """
     n = len(jobs)
     if n == 0:
@@ -239,40 +275,19 @@ def permutation_search(
         raise SearchSpaceTooLarge(
             bound, limit, f"candidate bound {bound} exceeds {_CANDIDATE_CAP}"
         )
-    combos = np.array(list(itertools.product(*options)), dtype=np.int64)
-    runtimes = np.empty(combos.shape, dtype=np.float64)
-    for j, job in enumerate(jobs):
-        per_width = {w: runtime(job, w) for w in options[j]}
-        runtimes[:, j] = [per_width[w] for w in combos[:, j]]
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    combos = list(itertools.product(*options))
+    runtimes = [tuple(runtime(job, w) for job, w in zip(jobs, c)) for c in combos]
+    perms = list(itertools.permutations(range(n)))
 
-    n_combos = combos.shape[0]
-    workers = min(worker_count(), n_combos)
-    if workers <= 1:
-        best = _kernels.eval_chunk(
-            runtimes, combos, perms, cluster.gpu_count, 0, n_combos
-        )
-    else:
-        step = (n_combos + workers - 1) // workers
-        ranges = [(lo, min(lo + step, n_combos)) for lo in range(0, n_combos, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _kernels.eval_chunk,
-                    runtimes, combos, perms, cluster.gpu_count, lo, hi,
-                )
-                for lo, hi in ranges
-            ]
-            results = [f.result() for f in futures]
-        best = min(results, key=lambda r: (r[0], r[1], r[2]))
-
-    best_m, best_c, best_p = best
-    width_map = {jobs[j].name: int(combos[best_c, j]) for j in range(n)}
+    best_m, best_c, best_p = _best_list_makespan(
+        runtimes, combos, perms, cluster.gpu_count
+    )
+    width_map = {job.name: w for job, w in zip(jobs, combos[best_c])}
     ordered = [jobs[j] for j in perms[best_p]]
     schedule = list_schedule(ordered, width_map, cluster)
     if schedule.makespan != best_m:
         raise AnalysisError("search kernel and placement engine disagree")
-    return schedule, int(n_combos * perms.shape[0])
+    return schedule, len(combos) * len(perms)
 
 
 def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Schedule:

@@ -1,20 +1,20 @@
 """Standardization and principal component analysis.
 
-The eigensolver is an in-house cyclic Jacobi (see _kernels); covariance uses
-the sample (n-1) divisor; eigenvector signs are fixed so that each column's
-largest-magnitude entry is positive, which makes dominant-metric labelling
-and plots deterministic.
+The eigensolver is an in-house cyclic Jacobi written as plain Python loops
+(``_jacobi_sweeps``); covariance uses the sample (n-1) divisor; eigenvector
+signs are fixed so that each column's largest-magnitude entry is positive,
+which makes dominant-metric labelling and plots deterministic.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     AnalysisError,
     IndexOutOfRange,
@@ -68,6 +68,63 @@ def standardize(
     return z, Standardization(means[keep], stds[keep]), dropped
 
 
+def _jacobi_sweeps(a, v, threshold, max_sweeps):
+    """Cyclic Jacobi sweeps on symmetric ``a`` (overwritten toward diagonal).
+
+    ``v`` accumulates the rotations (pass identity in).  Returns
+    ``(converged, off_norm, sweeps)`` where off_norm is the Frobenius norm of
+    the off-diagonal part at exit.
+    """
+    n = a.shape[0]
+    sweeps = 0
+    while True:
+        off2 = 0.0
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                off2 += 2.0 * a[i, j] * a[i, j]
+        off = math.sqrt(off2)
+        if off <= threshold:
+            return 1, off, sweeps
+        if sweeps >= max_sweeps:
+            return 0, off, sweeps
+        sweeps += 1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if abs(theta) > 1e150:
+                    # asymptotic branch: theta**2 would overflow
+                    t = 1.0 / (2.0 * theta)
+                elif theta >= 0.0:
+                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
+                else:
+                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                tau = s / (1.0 + c)
+                app = a[p, p]
+                aqq = a[q, q]
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                for k in range(n):
+                    if k != p and k != q:
+                        akp = a[k, p]
+                        akq = a[k, q]
+                        a[k, p] = akp - s * (akq + tau * akp)
+                        a[p, k] = a[k, p]
+                        a[k, q] = akq + s * (akp - tau * akq)
+                        a[q, k] = a[k, q]
+                for k in range(n):
+                    vkp = v[k, p]
+                    vkq = v[k, q]
+                    v[k, p] = vkp - s * (vkq + tau * vkp)
+                    v[k, q] = vkq + s * (vkp - tau * vkq)
+
+
 def jacobi_eigen(
     sym: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +148,7 @@ def jacobi_eigen(
     a = (a + a.T) * 0.5
     v = np.eye(m)
     threshold = tol * float(np.sqrt((a * a).sum()))
-    converged, off_norm, _ = _kernels.jacobi_sweeps(a, v, threshold, max_sweeps)
+    converged, off_norm, _ = _jacobi_sweeps(a, v, threshold, max_sweeps)
     if not converged:
         raise MaxSweepsExceeded(off_norm, max_sweeps)
     eigenvalues = np.diag(a).copy()

@@ -2,8 +2,6 @@
 
 Each test is tagged with the criterion number; conftest prints one PASS/FAIL
 line per criterion in the terminal summary, plus any soft-check notes.
-Timed criteria measure steady-state behaviour, so the session warms the jit
-cache once up front.
 """
 
 import math
@@ -17,18 +15,6 @@ import perf_charter as pc
 from cli_helpers import run_cli
 from conftest import soft_note
 from oracle_helpers import brute_force_makespan, check_schedule, symmetric_3x3_eigenvalues
-
-pytestmark = pytest.mark.usefixtures("warm_kernels")
-
-
-@pytest.fixture(scope="module")
-def warm_kernels():
-    # first call to each jitted kernel pays the compile; do it outside the
-    # timed sections
-    pc.jacobi_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    tiny = [pc.Job("w", 1.0, {2: 2.0})]
-    pc.permutation_search(tiny, pc.ClusterSpec(2))
-
 
 @pytest.mark.acceptance(1, label="intensity/throughput regression on shipped kernels")
 def test_criterion_1_intensity_regression(sample_kernels):

@@ -199,3 +199,54 @@ def test_full_pipeline_reruns_byte_identical(tmp_path, threads):
     assert runs[0].keys() == runs[1].keys()
     for key in runs[0]:
         assert runs[0][key] == runs[1][key], f"{key} differs between reruns"
+
+
+def test_out_naming_a_file_exits_2(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    result = run_cli(
+        "schedule", "--jobs", JOBS, "--gpus", "2", "--method", "heuristic",
+        "--out", str(out),
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in result.stderr
+    assert out.read_text() == "keep me\n"
+
+
+def _json_mirror(name):
+    text = pc.sample_path(f"{name}.csv").read_text()
+    if name == "jobs":
+        return pc.serialize_jobs(pc.parse_jobs(text), "json")
+    if name == "kernels":
+        return pc.serialize_kernels(pc.parse_kernels(text), "json")
+    profiles = pc.parse_workload_profiles(text)
+    return pc.serialize_profiles(
+        pc.matrix_from_profiles(profiles), "json", {p.name: p.suite for p in profiles}
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("profiles", ["characterize", "--k", "4"]),
+        ("jobs", ["schedule", "--gpus", "4", "--method", "heuristic"]),
+        ("kernels", ["roofline"]),
+    ],
+)
+def test_byte_order_mark_is_ignored(tmp_path, fmt, name, command):
+    text = (
+        pc.sample_path(f"{name}.csv").read_text() if fmt == "csv" else _json_mirror(name)
+    )
+    trees = {}
+    for tag, prefix in (("plain", ""), ("bom", "\ufeff")):
+        path = tmp_path / tag / f"{name}.{fmt}"
+        path.parent.mkdir()
+        path.write_text(prefix + text, encoding="utf-8")
+        out = tmp_path / tag / "out"
+        result = run_cli(command[0], f"--{name}", str(path), *command[1:], "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        trees[tag] = (_hash_outputs(out), result.stdout)
+    assert trees["bom"] == trees["plain"]
+    assert trees["plain"][0]

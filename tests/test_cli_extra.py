@@ -99,19 +99,6 @@ def test_console_script_entry_point(tmp_path):
     assert "savings:" in result.stdout
 
 
-def test_worker_count_env_parsing(monkeypatch):
-    from perf_charter.sched import worker_count
-
-    monkeypatch.delenv("PERF_CHARTER_THREADS", raising=False)
-    assert worker_count() >= 1
-    monkeypatch.setenv("PERF_CHARTER_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("PERF_CHARTER_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("PERF_CHARTER_THREADS", "not-a-number")
-    assert worker_count() >= 1
-
-
 def test_exact_schedule_handles_eight_jobs_quickly(sample_jobs):
     import time
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -179,6 +180,55 @@ def test_permutation_search_thread_count_invariance(monkeypatch, sample_jobs, p4
     for other in ("3", "8"):
         assert results[other][0] == baseline[0]
         assert results[other][1] == baseline[1]
+
+
+def _first_minimum_list_schedule(jobs, cluster):
+    """list_schedule on every (width vector, priority order), in the search's
+    enumeration order, keeping the first strict minimum."""
+    options = [[w for w in cluster.allowed_widths if w in job.speedup] for job in jobs]
+    best, count = None, 0
+    for widths in itertools.product(*options):
+        width_map = {job.name: w for job, w in zip(jobs, widths)}
+        for order in itertools.permutations(jobs):
+            schedule = pc.list_schedule(list(order), width_map, cluster)
+            count += 1
+            if best is None or schedule.makespan < best.makespan:
+                best = schedule
+    return best, count
+
+
+# per-job width options by job count, so one instance stays under ~4k candidates
+_OPTIONS_CAP = {1: 4, 2: 4, 3: 4, 4: 3, 5: 2}
+
+
+@st.composite
+def tie_prone_instances(draw):
+    # any width menu, non-powers of two included; runtimes are exact small
+    # integers and jobs repeat, so many candidates share the least makespan
+    gpus = draw(st.integers(1, 8))
+    cluster = pc.ClusterSpec(gpus, tuple(draw(st.sets(st.integers(1, gpus), max_size=3))))
+    n = draw(st.integers(1, 5))
+    wider = cluster.allowed_widths[1:]
+    jobs = []
+    for i in range(n):
+        if jobs and draw(st.booleans()):
+            twin = draw(st.sampled_from(jobs))
+            jobs.append(_job(f"j{i}", twin.t1_minutes, dict(twin.speedup)))
+            continue
+        supported = (
+            draw(st.sets(st.sampled_from(wider), max_size=_OPTIONS_CAP[n] - 1))
+            if wider else set()
+        )
+        speedup = {w: draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])) for w in supported}
+        jobs.append(_job(f"j{i}", float(draw(st.sampled_from([4, 8, 12, 16]))), speedup))
+    return jobs, cluster
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_prone_instances())
+def test_permutation_search_equals_explicit_enumeration(instance):
+    jobs, cluster = instance
+    assert pc.permutation_search(jobs, cluster) == _first_minimum_list_schedule(jobs, cluster)
 
 
 def test_list_schedule_rejects_disallowed_width():
