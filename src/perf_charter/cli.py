@@ -13,10 +13,12 @@ search-space guard.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import cluster as clus
@@ -46,15 +48,31 @@ def _read_text(path: str | Path) -> str:
 
 
 def _write_outputs(out: str, files: dict[str, str]) -> None:
-    """Write every rendered file under ``out``, each one atomically."""
+    """Write every rendered file under ``out``, or none of them.
+
+    Each file is staged as ``<name>.tmp`` and renamed into place only after
+    all are staged and no target is a directory; on any error every staged
+    file is removed.
+    """
     out_dir = Path(out)
+    staged: list[Path] = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             tmp = out_dir / (name + ".tmp")
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, out_dir / name)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                staged.append(tmp)
+                fh.write(text)
+        for name in files:
+            target = out_dir / name
+            if target.is_dir():
+                raise IsADirectoryError(f"is a directory: {target}")
+        for name in files:
+            os.replace(out_dir / (name + ".tmp"), out_dir / name)
     except OSError as exc:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
         raise OutputError(f"cannot write {out}: {exc}") from None
 
 
@@ -318,19 +336,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ParseError, OutputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SearchSpaceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (AnalysisError, PerfCharterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    # library warnings go to stderr as one stable line each, without the
+    # source path and line that the default format adds
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ParseError, OutputError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except SearchSpaceTooLarge as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        except (AnalysisError, PerfCharterError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

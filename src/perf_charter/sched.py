@@ -36,6 +36,10 @@ from .model import Job
 # job-count guard; a wide width menu can explode the space on its own
 _CANDIDATE_CAP = 100_000_000
 
+# exact_schedule's deadline-aware bound prunes a child only when it cannot
+# beat the incumbent by more than this relative margin
+_BOUND_MARGIN = 1.0 + 1e-9
+
 
 def _powers_of_two_upto(p: int) -> tuple[int, ...]:
     widths = []
@@ -297,6 +301,10 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
     times of already-placed jobs, placed in chronological order — the
     semi-active schedules, which contain an optimum.  Lower bound per node:
     max(area bound, longest remaining single-job runtime, current makespan).
+    Each child must also pass a deadline-aware area bound: to beat the
+    incumbent, every remaining job needs a width that ends before it, and the
+    work committed after the child's start plus each remaining job's least
+    area among those widths must fit in the GPU time left before it.
     """
     n = len(jobs)
     if n > limit:
@@ -304,30 +312,29 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
     if n == 0:
         return Schedule((), 0.0)
     p_total = cluster.gpu_count
-    options = [_width_options(job, cluster) for job in jobs]
-    rt_tab = [{w: runtime(job, w) for w in opts} for job, opts in zip(jobs, options)]
-    # a wider-but-not-faster width is dominated for makespan: the narrower,
+    rt_tab = [{w: runtime(job, w) for w in _width_options(job, cluster)} for job in jobs]
+    # per job, (runtime, width, area) of every branch width, fastest first; a
+    # wider-but-not-faster width is dominated for makespan: the narrower,
     # faster placement fits wherever the wide one did
-    branch_widths = []
-    for j, opts in enumerate(options):
-        keep = [
-            w
-            for w in opts
-            if not any(
-                w2 < w and rt_tab[j][w2] <= rt_tab[j][w] for w2 in opts
-            )
-        ]
-        branch_widths.append(sorted(keep, key=lambda w: (rt_tab[j][w], w)))
-    min_rt = [min(tab.values()) for tab in rt_tab]
-    min_area = [min(w * rt for w, rt in tab.items()) for tab in rt_tab]
+    branches = [
+        sorted(
+            (rt, w, w * rt)
+            for w, rt in tab.items()
+            if not any(w2 < w and rt2 <= rt for w2, rt2 in tab.items())
+        )
+        for tab in rt_tab
+    ]
+    min_rt = [options[0][0] for options in branches]
+    min_area = [min(area for _, _, area in options) for options in branches]
 
     seed = min(_incumbent_schedules(jobs, cluster), key=lambda s: s.makespan)
     idx_of = {job.name: j for j, job in enumerate(jobs)}
-    signature = [
-        (jobs[j].t1_minutes, tuple(sorted(rt_tab[j].items()))) for j in range(n)
-    ]
-    twins = [
-        [j2 for j2 in range(j) if signature[j2] == signature[j]] for j in range(n)
+    # identical jobs are interchangeable: place them in index order, so a job
+    # waits for its nearest identical predecessor only
+    signature = [(job.t1_minutes, tuple(sorted(tab.items()))) for job, tab in zip(jobs, rt_tab)]
+    prev_twin = [
+        max((j2 for j2 in range(j) if signature[j2] == signature[j]), default=-1)
+        for j in range(n)
     ]
 
     best_m = seed.makespan
@@ -337,17 +344,6 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
     # branch longest jobs first: good schedules appear early, tight pruning
     branch_order = sorted(range(n), key=lambda j: (-min_rt[j], j))
 
-    def fits(s: float, e: float, w: int) -> bool:
-        points = [s] + [ps for (_, _, ps, _) in placed if s < ps < e]
-        for tp in points:
-            used = w
-            for (_, pw, ps, pe) in placed:
-                if ps <= tp < pe:
-                    used += pw
-            if used > p_total:
-                return False
-        return True
-
     def dfs(cur_m: float, area: float, last_s: float, last_j: int, rem_area: float):
         nonlocal best_m, best_pl
         if not remaining:
@@ -355,52 +351,72 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
                 best_m = cur_m
                 best_pl = placed.copy()
             return
+        # per candidate start s: GPUs busy at s, work committed beyond s, and
+        # each remaining job's least area among the widths that end before
+        # best_m when started at s (infinite if none does).  Every placed job
+        # starts at or before last_s <= s, so usage only falls after s: a job
+        # fits if it fits at its start instant.
+        slots = []
+        for s in sorted({s for s in ({0.0} | {e for (_, _, _, e) in placed}) if s >= last_s}):
+            busy = 0
+            overhang = 0.0
+            for (_, pw, _, pe) in placed:
+                if pe > s:
+                    busy += pw
+                    overhang += pw * (pe - s)
+            least = [0.0] * n
+            need = 0.0
+            for k in remaining:
+                least_k = math.inf
+                for rt, _, k_area in branches[k]:
+                    if s + rt >= best_m:
+                        break
+                    if k_area < least_k:
+                        least_k = k_area
+                least[k] = least_k
+                need += least_k
+            slots.append((s, busy, overhang, need, least))
         # remaining jobs all start at >= last_s (chronological enumeration), so
-        # their work plus the committed overhang must fit after last_s
-        overhang = 0.0
-        for (_, pw, _, pe) in placed:
-            if pe > last_s:
-                overhang += pw * (pe - last_s)
-        tail_rt = max(min_rt[j] for j in remaining)
-        bound = max(
-            cur_m,
-            (area + rem_area) / p_total,
-            last_s + (rem_area + overhang) / p_total,
-            last_s + tail_rt,
-        )
-        if bound >= best_m:
+        # their work plus the committed overhang must fit after last_s; starts
+        # ascend from last_s, so slots[0] holds the overhang at last_s
+        tail_rt = 0.0
+        for j in remaining:
+            if min_rt[j] > tail_rt:
+                tail_rt = min_rt[j]
+        if (
+            (area + rem_area) / p_total >= best_m
+            or last_s + (rem_area + slots[0][2]) / p_total >= best_m
+            or last_s + tail_rt >= best_m
+        ):
             return
-        starts = sorted(
-            {s for s in ({0.0} | {e for (_, _, _, e) in placed}) if s >= last_s}
-        )
-        overhang_at = {
-            s: sum(pw * (pe - s) for (_, pw, _, pe) in placed if pe > s)
-            for s in starts
-        }
         for j in branch_order:
-            if j not in remaining:
-                continue
-            # identical jobs are interchangeable: place them in index order
-            if any(j2 in remaining for j2 in twins[j]):
+            if j not in remaining or prev_twin[j] in remaining:
                 continue
             rem_after = rem_area - min_area[j]
-            for w in branch_widths[j]:
-                rt = rt_tab[j][w]
-                for s in starts:
+            for rt, w, j_area in branches[j]:
+                for s, busy, overhang, need, least in slots:
                     if s == last_s and j < last_j:
                         continue
                     e = s + rt
-                    if max(cur_m, e) >= best_m:
+                    if cur_m >= best_m or e >= best_m:
                         break  # starts ascend, no later start can improve
-                    # child's own tail-area bound, before paying for recursion
-                    child_bound = s + (rem_after + overhang_at[s] + w * rt) / p_total
-                    if child_bound >= best_m:
+                    if busy + w > p_total:
                         continue
-                    if not fits(s, e, w):
+                    # child's own tail-area bound, before paying for recursion
+                    if s + (rem_after + overhang + j_area) / p_total >= best_m:
+                        continue
+                    # the deadline-aware bound, with a margin far above
+                    # rounding: one schedule can reach makespans a last bit
+                    # apart by different paths, and this bound must not
+                    # decide which of them is found first.  least[j] is
+                    # finite here, as this width ends in time.
+                    if overhang + j_area + (need - least[j]) >= p_total * (
+                        best_m * _BOUND_MARGIN - s
+                    ):
                         continue
                     placed.append((j, w, s, e))
                     remaining.remove(j)
-                    dfs(max(cur_m, e), area + w * rt, s, j, rem_after)
+                    dfs(e if e > cur_m else cur_m, area + j_area, s, j, rem_after)
                     remaining.add(j)
                     placed.pop()
 

@@ -10,10 +10,9 @@ import perf_charter
 SRC = str(Path(perf_charter.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "perf_charter.cli", *args],
         capture_output=True,

@@ -181,20 +181,19 @@ def _hash_outputs(root):
     return digests
 
 
-@pytest.mark.parametrize("threads", ["1", "8"])
-def test_full_pipeline_reruns_byte_identical(tmp_path, threads):
-    env = {"PERF_CHARTER_THREADS": threads}
+@pytest.mark.parametrize("gpus", ["1", "8"])
+def test_full_pipeline_reruns_byte_identical(tmp_path, gpus):
     runs = []
     for tag in ("a", "b"):
         base = tmp_path / tag
         r1 = run_cli("characterize", "--profiles", PROFILES, "--k", "4",
-                     "--out", str(base / "chr"), env_extra=env)
-        r2 = run_cli("roofline", "--kernels", KERNELS, "--out", str(base / "roof"),
-                     env_extra=env)
+                     "--out", str(base / "chr"))
+        r2 = run_cli("roofline", "--kernels", KERNELS, "--out", str(base / "roof"))
         r3 = run_cli("schedule", "--jobs", JOBS, "--gpus", "4",
-                     "--method", "permutation", "--out", str(base / "sch"),
-                     env_extra=env)
-        assert (r1.returncode, r2.returncode, r3.returncode) == (0, 0, 0)
+                     "--method", "permutation", "--out", str(base / "sch"))
+        r4 = run_cli("schedule", "--jobs", JOBS, "--gpus", gpus,
+                     "--method", "exact", "--out", str(base / "exact"))
+        assert (r1.returncode, r2.returncode, r3.returncode, r4.returncode) == (0, 0, 0, 0)
         runs.append(_hash_outputs(base))
     assert runs[0].keys() == runs[1].keys()
     for key in runs[0]:
@@ -212,6 +211,28 @@ def test_out_naming_a_file_exits_2(tmp_path):
     assert result.stderr.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in result.stderr
     assert out.read_text() == "keep me\n"
+
+
+def test_failing_write_leaves_nothing_behind(tmp_path):
+    out = tmp_path / "out"
+    (out / "gantt.svg").mkdir(parents=True)
+    result = run_cli(
+        "schedule", "--jobs", JOBS, "--gpus", "2", "--method", "heuristic",
+        "--out", str(out),
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in result.stderr
+    assert [p.name for p in out.iterdir()] == ["gantt.svg"]
+    assert not any((out / "gantt.svg").iterdir())
+
+
+def test_warnings_print_one_stable_line(tmp_path):
+    result = run_cli(
+        "characterize", "--profiles", PROFILES, "--k", "4", "--out", str(tmp_path / "out")
+    )
+    assert result.returncode == 0
+    assert result.stderr == "warning: dropped zero-variance metric column(s): nvlink_mbps\n"
 
 
 def _json_mirror(name):
