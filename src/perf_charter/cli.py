@@ -2,23 +2,25 @@
 
 stdout carries the human-readable report (6 significant digits); machine
 outputs go to files in --out (JSON/CSV at full precision, SVG plots).  Each
-command renders all of its files (and validates every schedule) before
-``_write_outputs`` writes them atomically, so a failing run leaves no partial
-outputs.  Inputs are read as UTF-8, with or without a byte-order mark.  Exit
-codes: 2 ingestion errors (unreadable, non-UTF-8 or invalid input) and output
-errors (an --out that cannot be created or written), 3 analysis errors, 4
-search-space guard.
+``cmd_*`` renders its files (validating every schedule) and returns them with
+its report lines; only ``main`` writes the files, atomically, so a failing run
+leaves none, and then prints the report.  Inputs are UTF-8, with or without a
+byte-order mark.  Exit codes: 2 ingestion errors (unreadable, non-UTF-8 or
+invalid input) and output errors (an --out that cannot be written, or a
+closed stdout), 3 analysis errors, 4 search-space guard.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import dataclasses
+import itertools
 import math
 import os
 import sys
 import warnings
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import cluster as clus
@@ -27,13 +29,13 @@ from . import roofline as roof
 from . import sched
 from .datafiles import sample_path
 from .errors import (
-    AnalysisError,
     EmptyInput,
     OutputError,
     ParseError,
     PerfCharterError,
     SearchSpaceTooLarge,
 )
+from .model import _dump_json, _write_rows
 
 
 def _detect_format(path: Path) -> str:
@@ -76,10 +78,6 @@ def _write_outputs(out: str, files: dict[str, str]) -> None:
         raise OutputError(f"cannot write {out}: {exc}") from None
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-
-
 def _g(x: float) -> str:
     return f"{x:.6g}"
 
@@ -106,7 +104,7 @@ def _parse_widths(value: str) -> tuple[int, ...]:
     return widths
 
 
-def cmd_characterize(args) -> int:
+def cmd_characterize(args) -> tuple[dict[str, str], Iterable[str]]:
     fmt = _detect_format(Path(args.profiles))
     profiles = model.parse_workload_profiles(_read_text(args.profiles), fmt)
     matrix = model.matrix_from_profiles(profiles)
@@ -161,31 +159,29 @@ def cmd_characterize(args) -> int:
             f"PC2 ({_g(100 * pca.explained[1])}%, {dom2})",
             suites=suites,
         )
-    _write_outputs(args.out, files)
-
-    print(f"workloads: {len(matrix.workload_names)}  metrics: {len(pca.metric_names)}"
-          + (f"  (dropped: {', '.join(pca.dropped_metrics)})" if pca.dropped_metrics else ""))
+    lines = [f"workloads: {len(matrix.workload_names)}  metrics: {len(pca.metric_names)}"
+             + (f"  (dropped: {', '.join(pca.dropped_metrics)})" if pca.dropped_metrics else "")]
     cum = 0.0
     shares = []
     for i, frac in enumerate(pca.explained[:4]):
         cum += float(frac)
         shares.append(f"PC{i + 1} {_g(100 * frac)}%")
-    print(f"explained variance: {', '.join(shares)} (cumulative {_g(100 * cum)}%)")
+    lines.append(f"explained variance: {', '.join(shares)} (cumulative {_g(100 * cum)}%)")
     for i in range(len(pca.metric_names)):
         name, loading = stats.dominant_metric(pca, i)
-        print(f"  PC{i + 1} dominated by {name} (loading {_g(loading)})")
-    print(f"clusters at threshold {_g(threshold)}:")
+        lines.append(f"  PC{i + 1} dominated by {name} (loading {_g(loading)})")
+    lines.append(f"clusters at threshold {_g(threshold)}:")
     for i, cluster in enumerate(clusters):
-        print(f"  {i + 1}: {', '.join(sorted(cluster))}")
-    print(f"selected subset: {', '.join(report.selected)}")
-    print("coverage of full ranges (%):")
+        lines.append(f"  {i + 1}: {', '.join(sorted(cluster))}")
+    lines.append(f"selected subset: {', '.join(report.selected)}")
+    lines.append("coverage of full ranges (%):")
     for metric, (lo, hi) in report.coverage.items():
         flag = "  [constant metric]" if metric in report.degenerate else ""
-        print(f"  {metric}: {_g(lo)} .. {_g(hi)}{flag}")
-    return 0
+        lines.append(f"  {metric}: {_g(lo)} .. {_g(hi)}{flag}")
+    return files, lines
 
 
-def cmd_roofline(args) -> int:
+def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
     machine_path = Path(args.machine) if args.machine else sample_path("machine.json")
     machine = roof.parse_machine(_read_text(machine_path))
     multi = len(args.kernels) > 1
@@ -223,24 +219,21 @@ def cmd_roofline(args) -> int:
                     file=sys.stderr,
                 )
 
-    lines = ["name,intensity,throughput,classification"]
-    lines += [f"{n},{repr(i)},{repr(t)},{c}" for n, i, t, c in rows]
-    _write_outputs(
-        args.out,
-        {
-            "roofline.csv": "\n".join(lines) + "\n",
-            "roofline.svg": svg.roofline_svg(machine, points),
-        },
+    header = ("name", "intensity", "throughput", "classification")
+    files = {
+        "roofline.csv": _write_rows(header, rows, "csv"),
+        "roofline.svg": svg.roofline_svg(machine, points),
+    }
+    # the report is lazy, so its lines are never all held at once
+    return files, itertools.chain(
+        [f"machine {machine.name}: single-precision ridge at "
+         f"{_g(machine.ridge('single'))} FLOPs/byte"],
+        (f"  {n}: intensity {_g(i)} FLOPs/B, throughput {_g(t)} GFLOP/s -> {c}"
+         for n, i, t, c in rows),
     )
 
-    print(f"machine {machine.name}: single-precision ridge at "
-          f"{_g(machine.ridge('single'))} FLOPs/byte")
-    for n, i, t, c in rows:
-        print(f"  {n}: intensity {_g(i)} FLOPs/B, throughput {_g(t)} GFLOP/s -> {c}")
-    return 0
 
-
-def cmd_schedule(args) -> int:
+def cmd_schedule(args) -> tuple[dict[str, str], Iterable[str]]:
     path = Path(args.jobs)
     jobs = model.parse_jobs(_read_text(path), _detect_format(path))
     cluster_spec = sched.ClusterSpec(args.gpus, args.widths or ())
@@ -260,16 +253,7 @@ def cmd_schedule(args) -> int:
         "schedule.json": _dump_json(
             {
                 "gpu_count": cluster_spec.gpu_count,
-                "placements": [
-                    {
-                        "job": p.job,
-                        "width": p.width,
-                        "gpu_ids": list(p.gpu_ids),
-                        "start": p.start,
-                        "end": p.end,
-                    }
-                    for p in best.placements
-                ],
+                "placements": [dataclasses.asdict(p) for p in best.placements],
                 "makespan_min": best.makespan,
                 "method": args.method,
             }
@@ -285,9 +269,7 @@ def cmd_schedule(args) -> int:
         f"savings: {_g(saved)} min ({_g(saved / 60)} h)\n"
         + sched.ascii_gantt(best, cluster_spec.gpu_count)
     )
-    _write_outputs(args.out, files)
-    print(report, end="")
-    return 0
+    return files, report.removesuffix("\n").split("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,14 +329,26 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
-            return args.func(args)
+            files, report = args.func(args)
+            _write_outputs(args.out, files)
+            try:
+                for line in report:
+                    print(line)
+                sys.stdout.flush()
+            except OSError as exc:
+                # with stdout on devnull, the flush at exit cannot fail again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise OutputError(f"cannot write to stdout: {exc}") from None
+            return 0
         except (ParseError, OutputError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except SearchSpaceTooLarge as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 4
-        except (AnalysisError, PerfCharterError, ValueError) as exc:
+        except (PerfCharterError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
 

@@ -139,8 +139,8 @@ def cut(dendrogram: Dendrogram, height: float) -> list[set[str]]:
 
     Clusters come back ordered by their smallest contained leaf id.
     """
-    if height < 0:
-        raise ValueError("height must be >= 0")
+    if not height >= 0:
+        raise ValueError(f"height must be >= 0, got {height!r}")
     applied = sum(1 for m in dendrogram.merges if m.height < height)
     return _clusters_from_merges(dendrogram, applied)
 

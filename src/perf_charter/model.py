@@ -10,9 +10,15 @@ Both formats go through one path: ``_read_rows`` turns either into
 ``(line, {field: raw cell})`` rows (CSV cells are stripped strings, blank as
 None; JSON must be a list of objects), and one validator per schema applies
 the same checks to both.  A number is a non-bool int or float, or a string
-that parses to a finite number; a count is a whole number >= 0; a name is a
-non-empty string after stripping; None (a blank CSV cell, a JSON null or a
-missing key) means absent.  Every rejection is a ``ParseError``.
+that parses to a finite number; a count is a whole number >= 0 that fits a
+float; a name is a non-empty string after stripping; None (a blank CSV cell,
+a JSON null or a missing key) means absent.  Every rejection is a
+``ParseError``.
+
+Output has one path too: every table, here and in the CLI, goes through
+``_write_rows`` (CSV quoted as needed with None blank, or JSON objects that
+omit None), and every JSON document through ``_dump_json``, which refuses
+non-finite floats.
 
 All parsers take decoded text; UTF-8 decoding and path handling live in the
 CLI.  Everything here is pure over immutable inputs.
@@ -25,8 +31,9 @@ import enum
 import io
 import json
 import math
+import sys
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +63,8 @@ CANONICAL_METRICS = (
 )
 
 _CANONICAL_INDEX = {name: i for i, name in enumerate(CANONICAL_METRICS)}
+
+_MAX_COUNT = int(sys.float_info.max)
 
 
 def metric_order_key(name: str, appearance: int = 0) -> tuple[int, int]:
@@ -225,6 +234,33 @@ def _load_json(text: str):
         raise MalformedRow(getattr(exc, "lineno", 1), f"invalid JSON: {exc}") from None
 
 
+def _write_rows(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:
+    """The inverse of ``_read_rows``: ``rows`` are tuples in ``header`` order."""
+    if format == "csv":
+        rows = list(rows)
+        for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n", quoting=quoting)
+            writer.writerow(header)
+            writer.writerows(rows)
+            text = out.getvalue()
+            # csv quotes "\n", the line terminator, but not a lone "\r", which
+            # a reader takes for a line break; then every cell is quoted
+            if "\r" not in text:
+                break
+        return text
+    if format == "json":
+        return _dump_json(
+            [{k: v for k, v in zip(header, row) if v is not None} for row in rows]
+        )
+    raise ValueError(f"unknown format {format!r}")
+
+
+def _dump_json(obj) -> str:
+    """The package's one JSON encoder; a non-finite float raises ValueError."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
 def _number(value, line: int, column: str) -> float:
     """A non-bool int or float, or a string that parses to a finite number."""
     kind = type(value)
@@ -247,8 +283,8 @@ def _number(value, line: int, column: str) -> float:
 
 
 def _count(value, line: int, column: str) -> int:
-    """A whole number >= 0: never truncated, and a bool is not a number."""
-    if type(value) is int and value >= 0:
+    """A whole number >= 0 that fits a float: never truncated, never a bool."""
+    if type(value) is int and 0 <= value <= _MAX_COUNT:
         return value
     if type(value) is str:
         try:
@@ -263,6 +299,8 @@ def _count(value, line: int, column: str) -> int:
         value = int(number)
     if value < 0:
         raise MalformedRow(line, f"column {column!r}: negative count {value}")
+    if value > _MAX_COUNT:
+        raise MalformedRow(line, f"column {column!r}: count too large for a float")
     return value
 
 
@@ -339,23 +377,11 @@ def serialize_profiles(
     matrix: MetricMatrix, format: str = "csv", suites: dict[str, Suite] | None = None
 ) -> str:
     suites = suites or {}
-    if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["name", "suite", *matrix.metric_names])
-        for i, name in enumerate(matrix.workload_names):
-            suite = suites.get(name, Suite.OTHER).value
-            writer.writerow([name, suite, *[repr(float(v)) for v in matrix.values[i]]])
-        return out.getvalue()
-    if format == "json":
-        entries = []
-        for i, name in enumerate(matrix.workload_names):
-            entry: dict = {"name": name, "suite": suites.get(name, Suite.OTHER).value}
-            for j, metric in enumerate(matrix.metric_names):
-                entry[metric] = float(matrix.values[i, j])
-            entries.append(entry)
-        return json.dumps(entries, indent=2) + "\n"
-    raise ValueError(f"unknown format {format!r}")
+    rows = (
+        (name, suites.get(name, Suite.OTHER).value, *[float(v) for v in matrix.values[i]])
+        for i, name in enumerate(matrix.workload_names)
+    )
+    return _write_rows(("name", "suite", *matrix.metric_names), rows, format)
 
 
 # --- jobs --------------------------------------------------------------------
@@ -410,24 +436,12 @@ def _width_from_column(col: str, line: int) -> int:
 
 def serialize_jobs(jobs: list[Job], format: str = "csv") -> str:
     widths = sorted({w for job in jobs for w in job.speedup} - {1})
-    if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["name", "t1_minutes", *[f"s{w}" for w in widths]])
-        for job in jobs:
-            cells = [repr(float(job.speedup[w])) if w in job.speedup else "" for w in widths]
-            writer.writerow([job.name, repr(float(job.t1_minutes)), *cells])
-        return out.getvalue()
-    if format == "json":
-        entries = []
-        for job in jobs:
-            entry: dict = {"name": job.name, "t1_minutes": float(job.t1_minutes)}
-            for w in sorted(job.speedup):
-                if w != 1:
-                    entry[f"s{w}"] = float(job.speedup[w])
-            entries.append(entry)
-        return json.dumps(entries, indent=2) + "\n"
-    raise ValueError(f"unknown format {format!r}")
+    rows = (
+        (job.name, float(job.t1_minutes),
+         *[float(job.speedup[w]) if w in job.speedup else None for w in widths])
+        for job in jobs
+    )
+    return _write_rows(("name", "t1_minutes", *[f"s{w}" for w in widths]), rows, format)
 
 
 # --- kernels -----------------------------------------------------------------
@@ -459,29 +473,11 @@ def parse_kernels(text: str, format: str = "csv") -> list[KernelRecord]:
 
 
 def serialize_kernels(records: list[KernelRecord], format: str = "csv") -> str:
-    if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_KERNEL_FIELDS)
-        for r in records:
-            writer.writerow(
-                [r.class_name, repr(float(r.time_ms)), r.calls, r.unique_kernels, r.flops, r.transactions]
-            )
-        return out.getvalue()
-    if format == "json":
-        entries = [
-            {
-                "class": r.class_name,
-                "time_ms": float(r.time_ms),
-                "calls": r.calls,
-                "unique": r.unique_kernels,
-                "flops": r.flops,
-                "transactions": r.transactions,
-            }
-            for r in records
-        ]
-        return json.dumps(entries, indent=2) + "\n"
-    raise ValueError(f"unknown format {format!r}")
+    rows = (
+        (r.class_name, float(r.time_ms), r.calls, r.unique_kernels, r.flops, r.transactions)
+        for r in records
+    )
+    return _write_rows(_KERNEL_FIELDS, rows, format)
 
 
 def kernel_summary(
@@ -498,5 +494,9 @@ def kernel_summary(
         raise ValueError("transaction_bytes must be > 0")
     total_flops = sum(r.flops for r in records)
     total_bytes = sum(r.transactions for r in records) * transaction_bytes
-    total_time_s = math.fsum(r.time_ms for r in records) / 1e3
+    try:
+        total_time_s = math.fsum(r.time_ms for r in records) / 1e3
+        float(total_flops)  # the FLOP total must convert, as each count does
+    except OverflowError:
+        raise ValueError("kernel totals overflow a float") from None
     return total_flops, total_bytes, total_time_s

@@ -94,10 +94,13 @@ def intensity(flops: int, transactions: int, transaction_bytes: int = DEFAULT_TR
 
 
 def throughput(flops: int, time_s: float) -> float:
-    """GFLOP/s over the measured interval."""
+    """GFLOP/s over the measured interval; a rate that overflows is a ValueError."""
     if not time_s > 0:
         raise NonPositiveTime(f"time_s must be > 0, got {time_s}")
-    return flops / time_s / 1e9
+    rate = flops / time_s / 1e9
+    if rate == math.inf:
+        raise ValueError(f"throughput of {flops:.6g} FLOPs in {time_s:.6g} s overflows a float")
+    return rate
 
 
 def attainable(machine: MachineModel, precision: str, intensity: float) -> float:

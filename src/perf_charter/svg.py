@@ -132,6 +132,8 @@ def roofline_svg(
     x_hi = max([max(ridges) * 8] + [p.intensity * 2 for p in finite])
     y_hi = max(list(machine.peaks.values()) + [p.throughput for p in finite]) * 2
     y_lo = min([machine.mem_bandwidth_gbps * x_lo] + [p.throughput for p in finite]) / 2
+    if not all(0 < v < math.inf for v in (x_lo, x_hi, y_lo, y_hi)):
+        raise ValueError("the roofline plot range overflows a float")
     margin_l, margin_r, margin_t, margin_b = 60, 20, 20, 48
     plot_w, plot_h = width - margin_l - margin_r, height - margin_t - margin_b
 

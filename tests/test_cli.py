@@ -1,9 +1,12 @@
+import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
 import perf_charter as pc
-from cli_helpers import run_cli
+from cli_helpers import cli_env, json_mirror, run_cli
 
 PROFILES = str(pc.sample_path("profiles.csv"))
 JOBS = str(pc.sample_path("jobs.csv"))
@@ -235,18 +238,6 @@ def test_warnings_print_one_stable_line(tmp_path):
     assert result.stderr == "warning: dropped zero-variance metric column(s): nvlink_mbps\n"
 
 
-def _json_mirror(name):
-    text = pc.sample_path(f"{name}.csv").read_text()
-    if name == "jobs":
-        return pc.serialize_jobs(pc.parse_jobs(text), "json")
-    if name == "kernels":
-        return pc.serialize_kernels(pc.parse_kernels(text), "json")
-    profiles = pc.parse_workload_profiles(text)
-    return pc.serialize_profiles(
-        pc.matrix_from_profiles(profiles), "json", {p.name: p.suite for p in profiles}
-    )
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "name, command",
@@ -258,7 +249,7 @@ def _json_mirror(name):
 )
 def test_byte_order_mark_is_ignored(tmp_path, fmt, name, command):
     text = (
-        pc.sample_path(f"{name}.csv").read_text() if fmt == "csv" else _json_mirror(name)
+        pc.sample_path(f"{name}.csv").read_text() if fmt == "csv" else json_mirror(name)
     )
     trees = {}
     for tag, prefix in (("plain", ""), ("bom", "\ufeff")):
@@ -271,3 +262,79 @@ def test_byte_order_mark_is_ignored(tmp_path, fmt, name, command):
         trees[tag] = (_hash_outputs(out), result.stdout)
     assert trees["bom"] == trees["plain"]
     assert trees["plain"][0]
+
+
+def test_characterize_cut_nan_exits_3(tmp_path):
+    out = tmp_path / "out"
+    result = run_cli("characterize", "--profiles", PROFILES, "--cut", "nan", "--out", str(out))
+    assert result.returncode == 3
+    assert "height must be >= 0" in result.stderr
+    assert not out.exists()
+
+
+def test_roofline_csv_quotes_class_names(tmp_path):
+    names = ["conv,1x1", 'say "hi"', 'a,"b",c', "carriage\rreturn", "new\nline"]
+    kernels = tmp_path / "k.json"
+    kernels.write_text(json.dumps([
+        {"class": n, "time_ms": 1.0, "calls": 1, "unique": 1, "flops": 1000, "transactions": 10}
+        for n in names
+    ]))
+    out = tmp_path / "out"
+    result = run_cli("roofline", "--kernels", str(kernels), "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    with open(out / "roofline.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["name", "intensity", "throughput", "classification"]
+    assert all(len(row) == 4 for row in rows)
+    assert [row[0] for row in rows[1:]] == names
+
+
+def _kernel_row(flops, transactions=10, time_ms=1.0):
+    return f"k,{time_ms!r},1,1,{flops},{transactions}\n"
+
+
+# each input overflows a float in the analysis, not in ingestion
+OVERFLOWS = {
+    "throughput": (_kernel_row(10**30, time_ms=1e-300), []),
+    "plot-range": (_kernel_row(10**308, transactions=1, time_ms=1000.0),
+                   ["--transaction-bytes", "1"]),
+    "aggregate-flops": (_kernel_row(10**308) * 2, ["--aggregate"]),
+    "aggregate-time": (_kernel_row(10**9, time_ms=1e308) * 2, ["--aggregate"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_roofline_overflow_exits_3_and_writes_nothing(tmp_path, case):
+    rows, flags = OVERFLOWS[case]
+    kernels = tmp_path / "k.csv"
+    kernels.write_text("class,time_ms,calls,unique,flops,transactions\n" + rows)
+    out = tmp_path / "out"
+    result = run_cli("roofline", "--kernels", str(kernels), *flags, "--out", str(out))
+    assert result.returncode == 3, result.stderr
+    assert "overflow" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+def test_closed_stdout_exits_2(tmp_path):
+    # 20 000 report lines overflow any pipe buffer, so printing must hit the
+    # closed pipe after the reader stops
+    kernels = tmp_path / "k.json"
+    kernels.write_text(json.dumps([
+        {"class": f"k{i}", "time_ms": 1.0, "calls": 1, "unique": 1, "flops": 10**9 + i,
+         "transactions": 10**7}
+        for i in range(20_000)
+    ]))
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "perf_charter.cli", "roofline", "--kernels", str(kernels),
+             "--out", str(tmp_path / "out")],
+            stdout=subprocess.PIPE, stderr=err, env=cli_env(),
+        )
+        assert proc.stdout.readline().startswith(b"machine ")
+        proc.stdout.close()
+        assert proc.wait(timeout=300) == 2
+        err.seek(0)
+        stderr = err.read()
+    assert stderr.startswith("error: cannot write to stdout: ")
+    assert stderr.count("\n") == 1

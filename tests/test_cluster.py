@@ -132,6 +132,9 @@ def test_cut_extremes(sample_space):
     everything = pc.cut(dd, dd.merges[-1].height * 1.01)
     assert len(everything) == 1
     assert everything[0] == set(names)
+    for height in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="height must be >= 0"):
+            pc.cut(dd, height)
 
 
 def test_cut_between_merges(sample_space):

@@ -156,6 +156,9 @@ REJECTED = {
     "kernels-time-nan": ("k.json", _kernels_json(time_ms=math.nan), _roofline),
     "kernels-calls-fraction": ("k.json", _kernels_json(calls=1.7), _roofline),
     "kernels-flops-bool": ("k.json", _kernels_json(flops=True), _roofline),
+    "kernels-flops-overflow": (
+        "k.csv", f"{','.join(KERNEL_HEADER)}\nk,1,1,1,1{'0' * 400},10\n", _roofline),
+    "kernels-flops-overflow-json": ("k.json", _kernels_json(flops=10**400), _roofline),
     "profiles-empty-name": (
         "p.json", '[{"name": "", "m": 1}, {"name": "b", "m": 2}]', _characterize),
     "profiles-suite-number": (

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +176,24 @@ def test_kernel_summary_permutation_invariant(sample_kernels):
 def test_kernels_round_trip(sample_kernels):
     for fmt in ("csv", "json"):
         assert pc.parse_kernels(pc.serialize_kernels(sample_kernels, fmt), fmt) == sample_kernels
+
+
+# names hold the characters CSV must quote, and equal their own strip()
+KERNEL_NAMES = st.text(
+    st.one_of(st.sampled_from(',"\r\n \t'), st.characters()), min_size=1, max_size=8
+).filter(lambda name: name == name.strip())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(
+    pc.KernelRecord,
+    KERNEL_NAMES,
+    st.floats(0.0, 1e300),
+    *[st.integers(0, int(sys.float_info.max))] * 4,
+), max_size=4))
+def test_kernels_round_trip_property(records):
+    for fmt in ("csv", "json"):
+        assert pc.parse_kernels(pc.serialize_kernels(records, fmt), fmt) == records
 
 
 def test_kernel_summary_configurable_bytes(sample_kernels):
