@@ -1,13 +1,15 @@
 """perf-charter command line: characterize / roofline / schedule.
 
-stdout carries the human-readable report (6 significant digits); machine
-outputs go to files in --out (JSON/CSV at full precision, SVG plots).  Each
-``cmd_*`` renders its files (validating every schedule) and returns them with
-its report lines; only ``main`` writes the files, atomically, so a failing run
-leaves none, and then prints the report.  Inputs are UTF-8, with or without a
-byte-order mark.  Exit codes: 2 ingestion errors (unreadable, non-UTF-8 or
-invalid input) and output errors (an --out that cannot be written, or a
-closed stdout), 3 analysis errors, 4 search-space guard.
+stdout carries the human-readable report (6 significant digits, with any
+non-printable character of a name escaped, so a report line is one terminal
+line); machine outputs go to files in --out (JSON/CSV at full precision, SVG
+plots).  Each ``cmd_*`` renders its files (validating every schedule) and
+returns them with its report lines; only ``main`` writes the files,
+atomically, so a failing run leaves none, and then prints the report.  Inputs
+are UTF-8, with or without a byte-order mark.  Exit codes: 2 ingestion
+errors (unreadable, non-UTF-8 or invalid input) and output errors (an --out
+that cannot be written, or a closed stdout), 3 analysis errors, 4
+search-space guard.
 """
 
 from __future__ import annotations
@@ -318,6 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _escape(line: str) -> str:
+    """``line`` with each non-printable character (a newline or CR in a name
+    read from a file) written as its ``repr`` escape, so one report line
+    prints as one terminal line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in line)
+
+
 def _print_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
@@ -333,7 +342,7 @@ def main(argv=None) -> int:
             _write_outputs(args.out, files)
             try:
                 for line in report:
-                    print(line)
+                    print(line if line.isprintable() else _escape(line))
                 sys.stdout.flush()
             except OSError as exc:
                 # with stdout on devnull, the flush at exit cannot fail again

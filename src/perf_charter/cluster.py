@@ -3,6 +3,15 @@
 Node ids follow the usual convention: 0..n-1 are leaves, n+i is the cluster
 created by the i-th merge.  Linkage heights are non-decreasing for all three
 supported linkages.
+
+``agglomerate`` keeps the linkage distances in one n x n float64 array of
+slots.  Slot i starts as leaf i; each slot carries the node id and size of
+the cluster it holds.  The diagonal and the slots of merged-away clusters
+hold ``inf``, so the array minimum is the closest live pair, and a live mask
+keeps dead slots out when every live distance is itself ``inf`` (an average
+linkage can overflow to it).  Among pairs at the minimum, the one with the
+smallest (min node id, max node id) merges.  The merged cluster's distances
+go into the slot of its smaller node id, and the other slot dies.
 """
 
 from __future__ import annotations
@@ -51,8 +60,12 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected 2-D points, got shape {points.shape}")
     if points.shape[0] < 2:
         raise TooFewRows(f"need at least 2 points, got {points.shape[0]}")
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    # one row at a time: no n x n x d temporary
+    dist = np.empty((points.shape[0], points.shape[0]))
+    for i, row in enumerate(points):
+        diff = row - points
+        dist[i] = np.sqrt((diff * diff).sum(axis=-1))
+    return dist
 
 
 def _check_distance_matrix(dist: np.ndarray) -> np.ndarray:
@@ -85,31 +98,41 @@ def agglomerate(
     if len(leaves) != n:
         raise ValueError(f"{len(leaves)} names for {n} rows")
 
-    sizes = {i: 1 for i in range(n)}
-    pair_dist: dict[tuple[int, int], float] = {
-        (i, j): float(dist[i, j]) for i in range(n - 1) for j in range(i + 1, n)
-    }
+    # the upper triangle is what the distances are read from; the lower one
+    # mirrors it, since _check_distance_matrix tolerates a little asymmetry
+    slots = dist.copy()
+    lower = np.tril_indices(n, -1)
+    slots[lower] = slots.T[lower]
+    np.fill_diagonal(slots, np.inf)
+    ids = np.arange(n)
+    sizes = [1] * n
+    live = np.ones(n, dtype=bool)
     merges: list[Merge] = []
-    for step in range(n - 1):
-        (a, b), height = min(pair_dist.items(), key=lambda kv: (kv[1], kv[0]))
-        new_id = n + step
-        new_size = sizes[a] + sizes[b]
-        for x in list(sizes):
-            if x in (a, b):
-                continue
-            da = pair_dist.pop((min(a, x), max(a, x)))
-            db = pair_dist.pop((min(b, x), max(b, x)))
+    # an average of two huge distances overflows to inf, silently, as on
+    # Python floats
+    with np.errstate(over="ignore"):
+        for step in range(n - 1):
+            rows, cols = np.nonzero(slots == slots.min())
+            keep = live[rows] & live[cols] & (ids[rows] < ids[cols])
+            rows, cols = rows[keep], cols[keep]
+            # ids stay below 2n, so this key orders pairs as (min id, max id)
+            k = np.argmin(ids[rows] * (2 * n) + ids[cols])
+            sa, sb = rows[k], cols[k]
+            da, db = slots[sa], slots[sb]
+            new_size = sizes[sa] + sizes[sb]
             if linkage == "single":
-                d = min(da, db)
+                merged = np.where(db < da, db, da)
             elif linkage == "complete":
-                d = max(da, db)
+                merged = np.where(db > da, db, da)
             else:
-                d = (sizes[a] * da + sizes[b] * db) / new_size
-            pair_dist[(x, new_id)] = d
-        del pair_dist[(a, b)]
-        del sizes[a], sizes[b]
-        sizes[new_id] = new_size
-        merges.append(Merge(a, b, height, new_size))
+                merged = (sizes[sa] * da + sizes[sb] * db) / new_size
+            merges.append(Merge(int(ids[sa]), int(ids[sb]), float(slots[sa, sb]), new_size))
+            merged[sa] = merged[sb] = np.inf
+            slots[sa] = slots[:, sa] = merged
+            slots[sb] = slots[:, sb] = np.inf
+            live[sb] = False
+            ids[sa] = n + step
+            sizes[sa] = new_size
     return Dendrogram(leaves, merges)
 
 

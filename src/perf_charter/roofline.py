@@ -99,6 +99,10 @@ def throughput(flops: int, time_s: float) -> float:
         raise NonPositiveTime(f"time_s must be > 0, got {time_s}")
     rate = flops / time_s / 1e9
     if rate == math.inf:
+        # FLOPs per second can overflow where GFLOP/s fits; this order is
+        # taken only then, so every finite rate keeps its last bit
+        rate = flops / 1e9 / time_s
+    if rate == math.inf:
         raise ValueError(f"throughput of {flops:.6g} FLOPs in {time_s:.6g} s overflows a float")
     return rate
 

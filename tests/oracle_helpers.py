@@ -2,8 +2,9 @@
 
 Deliberately dumb re-implementations kept separate from the library code:
 a characteristic-polynomial eigenvalue solver for 3x3 symmetric matrices, an
-exhaustive enumerator over start-time-ordered (semi-active) schedules, and an
-interval-overlap schedule checker.
+exhaustive enumerator over start-time-ordered (semi-active) schedules, an
+interval-overlap schedule checker, and agglomerative clustering over a dict
+of every live pair.
 """
 
 from __future__ import annotations
@@ -101,3 +102,37 @@ def check_schedule(schedule, gpu_count: int, jobs) -> None:
                 )
     expected = max((p.end for p in schedule.placements), default=0.0)
     assert schedule.makespan == expected
+
+
+def agglomerate_merges(dist, linkage: str) -> list[tuple[int, int, float, int]]:
+    """Merges (left id, right id, height, size) of bottom-up clustering.
+
+    Reads only the upper triangle of ``dist``.  Each step scans every live
+    pair with ``min``; ties go to the smallest (min id, max id).  The
+    Lance-Williams update is done on Python floats.
+    """
+    n = len(dist)
+    sizes = {i: 1 for i in range(n)}
+    pair_dist = {(i, j): float(dist[i][j]) for i in range(n - 1) for j in range(i + 1, n)}
+    merges = []
+    for step in range(n - 1):
+        (a, b), height = min(pair_dist.items(), key=lambda kv: (kv[1], kv[0]))
+        new_id = n + step
+        new_size = sizes[a] + sizes[b]
+        for x in list(sizes):
+            if x in (a, b):
+                continue
+            da = pair_dist.pop((min(a, x), max(a, x)))
+            db = pair_dist.pop((min(b, x), max(b, x)))
+            if linkage == "single":
+                d = min(da, db)
+            elif linkage == "complete":
+                d = max(da, db)
+            else:
+                d = (sizes[a] * da + sizes[b] * db) / new_size
+            pair_dist[(x, new_id)] = d
+        del pair_dist[(a, b)]
+        del sizes[a], sizes[b]
+        sizes[new_id] = new_size
+        merges.append((a, b, height, new_size))
+    return merges

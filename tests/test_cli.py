@@ -2,10 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import perf_charter as pc
+from perf_charter import cli
 from cli_helpers import cli_env, json_mirror, run_cli
 
 PROFILES = str(pc.sample_path("profiles.csv"))
@@ -314,6 +316,58 @@ def test_roofline_overflow_exits_3_and_writes_nothing(tmp_path, case):
     assert "overflow" in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+def test_roofline_throughput_fits_although_flops_per_second_overflow(tmp_path):
+    # 1e308 FLOPs in 1 ms is 1e311 FLOP/s, past a float, but 1e302 GFLOP/s
+    kernels = tmp_path / "k.csv"
+    kernels.write_text("class,time_ms,calls,unique,flops,transactions\n" + _kernel_row(10**308))
+    out = tmp_path / "out"
+    result = run_cli("roofline", "--kernels", str(kernels), "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    with open(out / "roofline.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert float(rows[1][2]) == 10**308 / 1e9 / 1e-3
+
+
+def test_report_escapes_control_characters(tmp_path):
+    kernels = tmp_path / "k.json"
+    kernels.write_text(json.dumps([
+        {"class": n, "time_ms": 1.0, "calls": 1, "unique": 1, "flops": 1000, "transactions": 10}
+        for n in ("new\nline", "cr\rret")
+    ]))
+    result = subprocess.run(
+        [sys.executable, "-m", "perf_charter.cli", "roofline", "--kernels", str(kernels),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, env=cli_env(), timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == 3
+    assert all(line.isprintable() for line in lines)
+    assert lines[1].startswith("  new\\nline: ")
+    assert lines[2].startswith("  cr\\rret: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["characterize", "--profiles", PROFILES, "--k", "4"],
+        ["roofline", "--kernels", KERNELS],
+        ["schedule", "--jobs", JOBS, "--gpus", "4", "--method", "heuristic"],
+    ],
+    ids=["characterize", "roofline", "schedule"],
+)
+def test_bundled_reports_print_unescaped(tmp_path, capsys, argv):
+    args = cli.build_parser().parse_args([*argv, "--out", str(tmp_path / "a")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, report = args.func(args)
+    expected = "".join(f"{line}\n" for line in report)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_closed_stdout_exits_2(tmp_path):

@@ -2,11 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import perf_charter as pc
+from oracle_helpers import agglomerate_merges
 from perf_charter.errors import (
     EmptyInput,
     InvalidDistanceMatrix,
@@ -38,6 +39,16 @@ def test_distance_duplicate_rows():
     d = pc.pairwise_distances(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 2.0]]))
     assert d[0, 1] == 0.0
     assert d[0, 2] == 2.0
+
+
+def test_distance_rows_match_broadcast_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for d in range(1, 201):
+        points = rng.normal(size=(9, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        points[5] = points[2]  # a duplicate row
+        diff = points[:, None, :] - points[None, :, :]
+        broadcast = np.sqrt((diff * diff).sum(axis=-1))
+        assert pc.pairwise_distances(points).tobytes() == broadcast.tobytes(), d
 
 
 def test_distance_too_few_rows():
@@ -228,6 +239,47 @@ def test_coverage_errors(sample_matrix):
         pc.coverage(sample_matrix, ["nope"])
     with pytest.raises(EmptyInput):
         pc.coverage(sample_matrix, [])
+
+
+# --- array agglomeration vs the dict oracle ----------------------------------------
+
+HUGE = 1.7e308  # two of them overflow an average linkage to inf
+
+
+@st.composite
+def oracle_matrices(draw):
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(("points", "grid", "asymmetric", "huge")))
+    upper = np.triu_indices(n, 1)
+    if kind == "huge":
+        dist = np.zeros((n, n))
+        dist[upper] = draw(arrays(np.float64, len(upper[0]), elements=st.floats(1e308, HUGE)))
+        return dist + dist.T
+    d = draw(st.integers(1, 4))
+    if kind == "grid":
+        # integer coordinates: many exactly tied distances
+        elements = st.integers(0, 2).map(float)
+    else:
+        elements = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    dist = pc.pairwise_distances(draw(arrays(np.float64, (n, d), elements=elements)))
+    if kind == "asymmetric":
+        # only the upper triangle moves, within the checker's 1e-8 tolerance
+        noise = draw(arrays(np.float64, len(upper[0]), elements=st.floats(0.0, 5e-9)))
+        dist[upper] += noise * (1.0 + dist.max())
+    return dist
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_matrices(), st.sampled_from(pc.cluster.LINKAGES))
+@example(np.where(np.eye(6) == 1, 0.0, HUGE), "average")
+def test_agglomerate_matches_dict_oracle(dist, linkage):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        merges = pc.agglomerate(dist, linkage).merges
+    assert [tuple(m) for m in merges] == agglomerate_merges(dist, linkage)
+    for m in merges:
+        assert type(m.left) is int and type(m.right) is int and type(m.size) is int
+        assert type(m.height) is float
 
 
 # --- properties ------------------------------------------------------------------------
