@@ -1,15 +1,16 @@
 """perf-charter command line: characterize / roofline / schedule.
 
-stdout carries the human-readable report (6 significant digits, with any
-non-printable character of a name escaped, so a report line is one terminal
-line); machine outputs go to files in --out (JSON/CSV at full precision, SVG
-plots).  Each ``cmd_*`` renders its files (validating every schedule) and
-returns them with its report lines; only ``main`` writes the files,
-atomically, so a failing run leaves none, and then prints the report.  Inputs
-are UTF-8, with or without a byte-order mark.  Exit codes: 2 ingestion
-errors (unreadable, non-UTF-8 or invalid input) and output errors (an --out
-that cannot be written, or a closed stdout), 3 analysis errors, 4
-search-space guard.
+stdout carries the human-readable report (6 significant digits); it and the
+``error:``/``warning:``/``note:`` lines on stderr escape any non-printable
+character of a name, so each prints as one terminal line.  Machine outputs
+go to files in --out (JSON/CSV at full precision, SVG plots).  Each
+``cmd_*`` renders its files (validating every schedule) and returns them with
+its report lines; only ``main`` writes the files, atomically, so a failing
+run leaves none, and then prints the report.  Inputs are UTF-8, with or
+without a byte-order mark.  Exit codes, each error class's ``exit_code``: 2
+ingestion errors (unreadable, non-UTF-8 or invalid input) and output errors
+(an --out that cannot be written, or a closed stdout), 3 analysis errors
+(and a bare ``ValueError``), 4 search-space guard.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from . import model, stats, svg
 from . import roofline as roof
 from . import sched
 from .datafiles import sample_path
-from .errors import (
-    EmptyInput,
-    OutputError,
-    ParseError,
-    PerfCharterError,
-    SearchSpaceTooLarge,
-)
+from .errors import EmptyInput, OutputError, ParseError, PerfCharterError
 from .model import _dump_json, _write_rows
 
 
@@ -216,8 +211,8 @@ def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
             ceiling = roof.attainable(machine, p.precision, p.intensity)
             if p.throughput > ceiling:
                 print(
-                    f"note: {p.name} throughput {_g(p.throughput)} exceeds the configured "
-                    f"ceiling {_g(ceiling)} GFLOP/s",
+                    _escape(f"note: {p.name} throughput {_g(p.throughput)} exceeds the "
+                            f"configured ceiling {_g(ceiling)} GFLOP/s"),
                     file=sys.stderr,
                 )
 
@@ -322,13 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _escape(line: str) -> str:
     """``line`` with each non-printable character (a newline or CR in a name
-    read from a file) written as its ``repr`` escape, so one report line
-    prints as one terminal line."""
+    read from a file) written as its ``repr`` escape, so one report or
+    stderr line prints as one terminal line."""
+    if line.isprintable():
+        return line
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in line)
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {message}", file=sys.stderr)
+    print(_escape(f"warning: {message}"), file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -342,7 +339,7 @@ def main(argv=None) -> int:
             _write_outputs(args.out, files)
             try:
                 for line in report:
-                    print(line if line.isprintable() else _escape(line))
+                    print(_escape(line))
                 sys.stdout.flush()
             except OSError as exc:
                 # with stdout on devnull, the flush at exit cannot fail again
@@ -351,15 +348,9 @@ def main(argv=None) -> int:
                 os.close(devnull)
                 raise OutputError(f"cannot write to stdout: {exc}") from None
             return 0
-        except (ParseError, OutputError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except SearchSpaceTooLarge as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
         except (PerfCharterError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+            print(_escape(f"error: {exc}"), file=sys.stderr)
+            return exc.exit_code if isinstance(exc, PerfCharterError) else 3
 
 
 if __name__ == "__main__":

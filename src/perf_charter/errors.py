@@ -1,16 +1,19 @@
 """Exception hierarchy shared across the toolkit.
 
-ParseError subclasses and OutputError map to CLI exit code 2, AnalysisError
-subclasses to 3, SearchSpaceTooLarge to 4.
+Each class's ``exit_code`` is the CLI exit code of the errors it covers.
 """
 
 
 class PerfCharterError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 3
+
 
 class ParseError(PerfCharterError):
     """Input data could not be ingested."""
+
+    exit_code = 2
 
 
 class AnalysisError(PerfCharterError):
@@ -19,6 +22,8 @@ class AnalysisError(PerfCharterError):
 
 class OutputError(PerfCharterError):
     """An output file could not be written."""
+
+    exit_code = 2
 
 
 # --- ingestion -------------------------------------------------------------
@@ -124,6 +129,8 @@ class UnsupportedWidth(AnalysisError):
 
 
 class SearchSpaceTooLarge(PerfCharterError):
+    exit_code = 4
+
     def __init__(self, bound: int, limit: int, message: str = ""):
         detail = message or f"search space bound {bound} exceeds limit {limit}"
         super().__init__(detail)

@@ -12,8 +12,10 @@ Four schedulers over the same Job/ClusterSpec inputs:
                        makespan
 
 Jobs are moldable (width fixed at launch) and non-preemptive; no interpolation
-between measured widths.  GPU identity never affects makespans; concrete ids
-are assigned lowest-index-first for rendering.  Every scheduler is plain,
+between measured widths.  GPU identity never affects makespans; every
+scheduler decides widths and start times only and hands them to ``_placed``,
+the one GPU-id rule: each job takes the lowest-numbered GPUs that no
+earlier-starting job holds over its interval.  Every scheduler is plain,
 single-threaded Python, so a result depends on its inputs alone.
 """
 
@@ -112,16 +114,32 @@ def _width_options(job: Job, cluster: ClusterSpec) -> list[int]:
     return options
 
 
+def _placed(rows: list[tuple[str, int, float, float]], gpu_count: int) -> Schedule:
+    """The schedule of ``(job, width, start, end)`` rows given in start order.
+
+    Each row takes the lowest-numbered GPUs that no earlier row holds over
+    its interval; the makespan is the latest end.
+    """
+    placements: list[Placement] = []
+    for job, w, s, e in rows:
+        used = {g for p in placements if p.start < e and s < p.end for g in p.gpu_ids}
+        ids = tuple(g for g in range(gpu_count) if g not in used)[:w]
+        if len(ids) < w:
+            raise AnalysisError("id assignment exceeded capacity")
+        placements.append(Placement(job, w, ids, s, e))
+    return Schedule(tuple(placements), max((p.end for p in placements), default=0.0))
+
+
 def naive_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     """Baseline: each job takes the whole width menu's maximum, sequentially."""
     wmax = cluster.max_width
-    placements = []
+    rows = []
     t = 0.0
     for job in jobs:
         rt = runtime(job, wmax)
-        placements.append(Placement(job.name, wmax, tuple(range(wmax)), t, t + rt))
+        rows.append((job.name, wmax, t, t + rt))
         t += rt
-    return Schedule(tuple(placements), max((p.end for p in placements), default=0.0))
+    return _placed(rows, cluster.gpu_count)
 
 
 def list_schedule(
@@ -131,54 +149,52 @@ def list_schedule(
 
     Whenever GPUs free up (and at t=0) the earliest-priority unstarted job
     whose width fits the free count is started, repeatedly within the same
-    instant; ids are assigned lowest-index-first.
+    instant.
     """
-    p_total = cluster.gpu_count
-    pending = []
+    waiting = []
     for job in jobs:
         if job.name not in widths:
             raise UnsupportedWidth(f"no width assigned for {job.name}")
         w = widths[job.name]
         if w not in cluster.allowed_widths:
             raise UnsupportedWidth(f"width {w} not in allowed widths for {job.name}")
-        pending.append((job, w, runtime(job, w)))
+        waiting.append((job.name, w, runtime(job, w)))
 
-    free = list(range(p_total))
-    placements: list[Placement] = []
-    started = [False] * len(pending)
-    n_started = 0
+    free = cluster.gpu_count
+    rows: list[tuple[str, int, float, float]] = []
     t = 0.0
-    while n_started < len(pending):
-        for i, (job, w, rt) in enumerate(pending):
-            if not started[i] and w <= len(free):
-                ids = tuple(free[:w])
-                del free[:w]
-                placements.append(Placement(job.name, w, ids, t, t + rt))
-                started[i] = True
-                n_started += 1
-        if n_started >= len(pending):
+    while True:
+        blocked = []
+        for name, w, rt in waiting:
+            if w <= free:
+                free -= w
+                rows.append((name, w, t, t + rt))
+            else:
+                blocked.append((name, w, rt))
+        if not blocked:
             break
-        running = [p for p in placements if p.end > t]
-        if not running:
+        waiting = blocked
+        ends = [e for _, _, _, e in rows if e > t]
+        if not ends:
             raise AnalysisError("no progress possible; width exceeds cluster")
-        t = min(p.end for p in running)
-        for p in placements:
-            if p.end == t:
-                free.extend(p.gpu_ids)
-        free.sort()
-    return Schedule(tuple(placements), max((p.end for p in placements), default=0.0))
+        t = min(ends)
+        free += sum(w for _, w, _, e in rows if e == t)
+    return _placed(rows, cluster.gpu_count)
+
+
+def _lpt_schedule(jobs: list[Job], cluster: ClusterSpec, width_key) -> Schedule:
+    """Longest-runtime-first list schedule at the widths minimizing ``width_key``."""
+    widths = {
+        job.name: min(_width_options(job, cluster), key=lambda w: width_key(job, w))
+        for job in jobs
+    }
+    ordered = sorted(jobs, key=lambda j: (-runtime(j, widths[j.name]), j.name))
+    return list_schedule(ordered, widths, cluster)
 
 
 def heuristic_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     """Longest-processing-time list schedule at each job's fastest width."""
-    widths = {}
-    chosen_rt = {}
-    for job in jobs:
-        w = min(_width_options(job, cluster), key=lambda w: (runtime(job, w), w))
-        widths[job.name] = w
-        chosen_rt[job.name] = runtime(job, w)
-    ordered = sorted(jobs, key=lambda j: (-chosen_rt[j.name], j.name))
-    return list_schedule(ordered, widths, cluster)
+    return _lpt_schedule(jobs, cluster, lambda job, w: (runtime(job, w), w))
 
 
 def _incumbent_schedules(jobs: list[Job], cluster: ClusterSpec) -> list[Schedule]:
@@ -189,17 +205,9 @@ def _incumbent_schedules(jobs: list[Job], cluster: ClusterSpec) -> list[Schedule
     except UnsupportedWidth:
         pass
     # narrowest efficient width: best speedup-per-GPU, then LPT order
-    widths = {}
-    chosen_rt = {}
-    for job in jobs:
-        w = max(
-            _width_options(job, cluster),
-            key=lambda w: (job.speedup[w] / w, -w),
-        )
-        widths[job.name] = w
-        chosen_rt[job.name] = runtime(job, w)
-    ordered = sorted(jobs, key=lambda j: (-chosen_rt[j.name], j.name))
-    candidates.append(list_schedule(ordered, widths, cluster))
+    candidates.append(
+        _lpt_schedule(jobs, cluster, lambda job, w: (-job.speedup[w] / w, w))
+    )
     return candidates
 
 
@@ -299,8 +307,10 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
 
     Branches over (job, width, start) with starts restricted to 0 and the end
     times of already-placed jobs, placed in chronological order — the
-    semi-active schedules, which contain an optimum.  Lower bound per node:
-    max(area bound, longest remaining single-job runtime, current makespan).
+    semi-active schedules, which contain an optimum.  Lower bounds per node:
+    the work committed after the last start plus the remaining jobs' least
+    area, spread over P GPUs from that start; the longest remaining job's
+    least runtime from that start; and the current makespan.
     Each child must also pass a deadline-aware area bound: to beat the
     incumbent, every remaining job needs a width that ends before it, and the
     work committed after the child's start plus each remaining job's least
@@ -344,7 +354,7 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
     # branch longest jobs first: good schedules appear early, tight pruning
     branch_order = sorted(range(n), key=lambda j: (-min_rt[j], j))
 
-    def dfs(cur_m: float, area: float, last_s: float, last_j: int, rem_area: float):
+    def dfs(cur_m: float, last_s: float, last_j: int, rem_area: float):
         nonlocal best_m, best_pl
         if not remaining:
             if cur_m < best_m:
@@ -384,8 +394,7 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
             if min_rt[j] > tail_rt:
                 tail_rt = min_rt[j]
         if (
-            (area + rem_area) / p_total >= best_m
-            or last_s + (rem_area + slots[0][2]) / p_total >= best_m
+            last_s + (rem_area + slots[0][2]) / p_total >= best_m
             or last_s + tail_rt >= best_m
         ):
             return
@@ -416,25 +425,13 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
                         continue
                     placed.append((j, w, s, e))
                     remaining.remove(j)
-                    dfs(e if e > cur_m else cur_m, area + j_area, s, j, rem_after)
+                    dfs(e if e > cur_m else cur_m, s, j, rem_after)
                     remaining.add(j)
                     placed.pop()
 
-    dfs(0.0, 0.0, 0.0, -1, sum(min_area))
-
-    placements = []
-    assigned: list[tuple[tuple[int, ...], float, float]] = []
-    for (j, w, s, e) in sorted(best_pl, key=lambda r: (r[2], r[0])):
-        used: set[int] = set()
-        for ids, s2, e2 in assigned:
-            if s2 < e and s < e2:
-                used.update(ids)
-        ids = tuple(g for g in range(p_total) if g not in used)[:w]
-        if len(ids) < w:
-            raise AnalysisError("id assignment exceeded capacity")
-        assigned.append((ids, s, e))
-        placements.append(Placement(jobs[j].name, w, ids, s, e))
-    return Schedule(tuple(placements), max((p.end for p in placements), default=0.0))
+    dfs(0.0, 0.0, -1, sum(min_area))
+    best_pl.sort(key=lambda r: (r[2], r[0]))
+    return _placed([(jobs[j].name, w, s, e) for (j, w, s, e) in best_pl], p_total)
 
 
 def savings(naive: Schedule, best: Schedule) -> float:

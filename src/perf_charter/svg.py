@@ -76,6 +76,9 @@ def _leaf_order(dendrogram: Dendrogram) -> list[int]:
 
 
 def dendrogram_svg(dendrogram: Dendrogram, cut_height: float | None = None) -> str:
+    """Tree plot with heights to scale; every merge height must be finite."""
+    if not all(math.isfinite(m.height) for m in dendrogram.merges):
+        raise ValueError("cannot plot a dendrogram with a non-finite merge height")
     n = len(dendrogram.leaves)
     order = _leaf_order(dendrogram)
     margin_l, margin_t, margin_b = 50, 20, 120

@@ -2,7 +2,8 @@
 
 Deliberately dumb re-implementations kept separate from the library code:
 a characteristic-polynomial eigenvalue solver for 3x3 symmetric matrices, an
-exhaustive enumerator over start-time-ordered (semi-active) schedules, an
+exhaustive enumerator over start-time-ordered (semi-active) schedules, a
+greedy list scheduler that hands out GPU ids from a sorted free list, an
 interval-overlap schedule checker, and agglomerative clustering over a dict
 of every live pair.
 """
@@ -10,6 +11,8 @@ of every live pair.
 from __future__ import annotations
 
 import math
+
+from perf_charter import Placement, Schedule
 
 
 def symmetric_3x3_eigenvalues(a) -> list[float]:
@@ -83,6 +86,36 @@ def brute_force_makespan(jobs, gpu_count: int, allowed_widths) -> float:
 
     rec(frozenset(range(n)), 0.0)
     return best[0]
+
+
+def free_list_schedule(jobs, widths, gpu_count: int) -> Schedule:
+    """Greedy list schedule that keeps the free GPU ids in a sorted list.
+
+    Whenever GPUs free up (and at t=0) every unstarted job whose width fits
+    starts, in priority order, on the lowest free ids; the ids of every job
+    ending at the next event go back to the list, which is then re-sorted.
+    """
+    pending = [(job, widths[job.name]) for job in jobs]
+    free = list(range(gpu_count))
+    placements = []
+    started = [False] * len(pending)
+    t = 0.0
+    while not all(started):
+        for i, (job, w) in enumerate(pending):
+            if not started[i] and w <= len(free):
+                ids = tuple(free[:w])
+                del free[:w]
+                rt = job.t1_minutes / job.speedup[w]
+                placements.append(Placement(job.name, w, ids, t, t + rt))
+                started[i] = True
+        if all(started):
+            break
+        t = min(p.end for p in placements if p.end > t)
+        for p in placements:
+            if p.end == t:
+                free.extend(p.gpu_ids)
+        free.sort()
+    return Schedule(tuple(placements), max((p.end for p in placements), default=0.0))
 
 
 def check_schedule(schedule, gpu_count: int, jobs) -> None:

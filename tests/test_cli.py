@@ -330,6 +330,25 @@ def test_roofline_throughput_fits_although_flops_per_second_overflow(tmp_path):
     assert float(rows[1][2]) == 10**308 / 1e9 / 1e-3
 
 
+def test_stderr_note_escapes_control_characters(tmp_path):
+    # 1e12 FLOPs in 1e-6 ms is far past any configured ceiling
+    kernels = tmp_path / "k.json"
+    kernels.write_text(json.dumps([{"class": "hot\nclass", "time_ms": 1e-6, "calls": 1,
+                                    "unique": 1, "flops": 1e12, "transactions": 10}]))
+    result = run_cli("roofline", "--kernels", str(kernels), "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("note: hot\\nclass throughput ")
+
+
+def test_stderr_error_escapes_control_characters(tmp_path):
+    result = run_cli("schedule", "--jobs", "nope\nfile.csv", "--gpus", "2",
+                     "--out", str(tmp_path / "out"))
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: cannot read nope\\nfile.csv: ")
+
+
 def test_report_escapes_control_characters(tmp_path):
     kernels = tmp_path / "k.json"
     kernels.write_text(json.dumps([

@@ -12,7 +12,7 @@ from perf_charter.errors import (
     UnsupportedWidth,
 )
 
-from oracle_helpers import brute_force_makespan, check_schedule
+from oracle_helpers import brute_force_makespan, check_schedule, free_list_schedule
 
 
 def _job(name, t1, speedup):
@@ -95,6 +95,8 @@ def test_list_schedule_hand_simulation():
     schedule = pc.list_schedule(jobs, {"A": 2, "B": 1, "C": 1}, pc.ClusterSpec(2))
     spans = {p.job: (p.start, p.end) for p in schedule.placements}
     assert spans == {"A": (0.0, 10.0), "B": (10.0, 40.0), "C": (10.0, 15.0)}
+    ids = {p.job: p.gpu_ids for p in schedule.placements}
+    assert ids == {"A": (0, 1), "B": (0,), "C": (1,)}
     assert schedule.makespan == 40.0
     check_schedule(schedule, 2, jobs)
 
@@ -224,6 +226,27 @@ def tie_prone_instances(draw):
 def test_permutation_search_equals_explicit_enumeration(instance):
     jobs, cluster = instance
     assert pc.permutation_search(jobs, cluster) == _first_minimum_list_schedule(jobs, cluster)
+
+
+@st.composite
+def list_schedule_inputs(draw):
+    # a width per job and a priority order over tie-prone or random instances
+    jobs, cluster = draw(st.one_of(tie_prone_instances(), instances()))
+    widths = {
+        job.name: draw(st.sampled_from([w for w in cluster.allowed_widths if w in job.speedup]))
+        for job in jobs
+    }
+    return draw(st.permutations(jobs)), widths, cluster
+
+
+@settings(max_examples=200, deadline=None)
+@given(list_schedule_inputs())
+def test_list_schedule_equals_free_list_reference(inputs):
+    # the GPU ids too: the interval rule gives what a sorted free list gives
+    jobs, widths, cluster = inputs
+    assert pc.list_schedule(jobs, widths, cluster) == free_list_schedule(
+        jobs, widths, cluster.gpu_count
+    )
 
 
 def test_list_schedule_rejects_disallowed_width():

@@ -1,5 +1,8 @@
 import warnings
 
+import numpy as np
+import pytest
+
 import perf_charter as pc
 from perf_charter import svg
 
@@ -16,6 +19,16 @@ def test_dendrogram_svg_structure(sample_matrix):
         assert name in out
     assert "cut 2" in out
     assert out == svg.dendrogram_svg(dd, cut_height=2.0)  # deterministic
+
+
+def test_dendrogram_svg_rejects_non_finite_heights():
+    # average linkage over distances near the float maximum overflows to inf
+    dist = np.full((4, 4), 1.7e308)
+    np.fill_diagonal(dist, 0.0)
+    dd = pc.agglomerate(dist, "average")
+    assert dd.merges[-1].height == float("inf")
+    with pytest.raises(ValueError, match="non-finite"):
+        svg.dendrogram_svg(dd)
 
 
 def test_roofline_svg_ceilings_and_points(default_machine):
