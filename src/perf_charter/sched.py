@@ -6,7 +6,9 @@ Four schedulers over the same Job/ClusterSpec inputs:
   list_schedule        event-driven greedy placement for a given priority
                        order and width assignment
   permutation_search   minimum-makespan list schedule over all width vectors
-                       x priority permutations (the measured-scalability search)
+                       x priority permutations (the measured-scalability search);
+                       skips width vectors whose lower bound cannot beat the
+                       best so far and stops each order once it reaches it
   exact_schedule       branch-and-bound over semi-active schedules; may insert
                        deliberate idle gaps, returns the provably minimal
                        makespan
@@ -38,8 +40,9 @@ from .model import Job
 # job-count guard; a wide width menu can explode the space on its own
 _CANDIDATE_CAP = 100_000_000
 
-# exact_schedule's deadline-aware bound prunes a child only when it cannot
-# beat the incumbent by more than this relative margin
+# exact_schedule's deadline-aware bound and _best_list_makespan's width-vector
+# bound prune only what cannot beat the incumbent by more than this relative
+# margin
 _BOUND_MARGIN = 1.0 + 1e-9
 
 
@@ -162,6 +165,7 @@ def list_schedule(
 
     free = cluster.gpu_count
     rows: list[tuple[str, int, float, float]] = []
+    running: list[tuple[float, int]] = []
     t = 0.0
     while True:
         blocked = []
@@ -169,16 +173,17 @@ def list_schedule(
             if w <= free:
                 free -= w
                 rows.append((name, w, t, t + rt))
+                running.append((t + rt, w))
             else:
                 blocked.append((name, w, rt))
         if not blocked:
             break
+        # every allowed width fits an idle cluster, so something is running;
+        # a job whose end rounds to its start is released at the next step
         waiting = blocked
-        ends = [e for _, _, _, e in rows if e > t]
-        if not ends:
-            raise AnalysisError("no progress possible; width exceeds cluster")
-        t = min(ends)
-        free += sum(w for _, w, _, e in rows if e == t)
+        t = min(running)[0]
+        free += sum(w for e, w in running if e == t)
+        running = [(e, w) for e, w in running if e != t]
     return _placed(rows, cluster.gpu_count)
 
 
@@ -211,56 +216,86 @@ def _incumbent_schedules(jobs: list[Job], cluster: ClusterSpec) -> list[Schedule
     return candidates
 
 
+def _list_makespan(
+    order: tuple[int, ...],
+    ws: tuple[int, ...],
+    rts: tuple[float, ...],
+    gpu_count: int,
+    cutoff: float,
+) -> float:
+    """Makespan of the greedy list schedule, or the first end >= ``cutoff``.
+
+    The simulation is ``list_schedule``'s without GPU ids: start every
+    fitting job in priority order, then advance to the earliest end and
+    release every job ending there.  The makespan only grows, so once a job
+    would end at or after ``cutoff`` the order cannot end below it and the
+    simulation stops there.
+    """
+    waiting = order
+    running: list[tuple[float, int]] = []
+    free = gpu_count
+    t = 0.0
+    makespan = 0.0
+    while True:
+        blocked = []
+        for j in waiting:
+            w = ws[j]
+            if w <= free:
+                e = t + rts[j]
+                if e >= cutoff:
+                    return e
+                free -= w
+                running.append((e, w))
+                if e > makespan:
+                    makespan = e
+            else:
+                blocked.append(j)
+        if not blocked:
+            return makespan
+        # every width fits an idle cluster, so something is running
+        waiting = blocked
+        t = min(running)[0]
+        still = []
+        for e, w in running:
+            if e == t:
+                free += w
+            else:
+                still.append((e, w))
+        running = still
+
+
 def _best_list_makespan(
     runtimes: list[tuple[float, ...]],
     widths: list[tuple[int, ...]],
     perms: list[tuple[int, ...]],
     gpu_count: int,
-) -> tuple[float, int, int]:
+) -> tuple[float, int, int, int]:
     """Least greedy-list makespan over every (width vector, priority order).
 
     ``widths[c]``/``runtimes[c]`` give each job's width and runtime in width
-    vector ``c``; ``perms`` are the priority orders.  The simulation is
-    ``list_schedule``'s without GPU ids: start every fitting job in priority
-    order, then advance to the earliest end and release every job ending
-    there.  Returns ``(makespan, combo, perm)`` of the first strict minimum in
-    (combo, perm) enumeration order.
+    vector ``c``; ``perms`` are the priority orders.  Returns ``(makespan,
+    combo, perm, simulated)``: the first strict minimum in (combo, perm)
+    enumeration order and the number of width vectors simulated.  A width
+    vector is skipped when no list schedule of it can beat the incumbent:
+    none ends before its longest job, nor before its GPU time spread over
+    every GPU.  The margin keeps the rounding of that sum from skipping a
+    vector that could still win.  An order is abandoned as soon as it
+    reaches the incumbent (``_list_makespan``).
     """
-    best = (math.inf, -1, -1)
+    best_m, best_c, best_p = math.inf, -1, -1
+    simulated = 0
     for c, (rts, ws) in enumerate(zip(runtimes, widths)):
+        # area / P summed term by term stays at most the makespan, so it
+        # cannot overflow while the makespan is finite
+        bound = max(max(rts), sum(rt * (w / gpu_count) for rt, w in zip(rts, ws)))
+        if bound >= best_m * _BOUND_MARGIN:
+            continue
+        simulated += 1
         for p, order in enumerate(perms):
-            waiting = order
-            running: list[tuple[float, int]] = []
-            free = gpu_count
-            t = 0.0
-            makespan = 0.0
-            while True:
-                blocked = []
-                for j in waiting:
-                    w = ws[j]
-                    if w <= free:
-                        free -= w
-                        e = t + rts[j]
-                        running.append((e, w))
-                        if e > makespan:
-                            makespan = e
-                    else:
-                        blocked.append(j)
-                if not blocked:
-                    break
-                # every width fits an idle cluster, so something is running
-                waiting = blocked
-                t = min(e for e, _ in running)
-                still = []
-                for e, w in running:
-                    if e == t:
-                        free += w
-                    else:
-                        still.append((e, w))
-                running = still
-            if makespan < best[0]:
-                best = (makespan, c, p)
-    return best
+            makespan = _list_makespan(order, ws, rts, gpu_count, best_m)
+            if makespan < best_m:
+                best_m, best_c, best_p = makespan, c, p
+    return best_m, best_c, best_p, simulated
 
 
 def permutation_search(
@@ -268,11 +303,13 @@ def permutation_search(
 ) -> tuple[Schedule, int]:
     """Exhaustive search over (width vector) x (priority permutation).
 
-    Cost is prod|options| * n!, so n is guarded by ``limit``.  Every candidate
-    is simulated by one plain-Python loop (``_best_list_makespan``); ties
-    resolve to the lexicographically smallest (width vector, permutation),
-    and the winner is rebuilt with ``list_schedule``, which must agree on the
-    makespan.
+    The space holds prod|options| * n! candidates, so n is guarded by
+    ``limit`` and the returned count is that size.  ``_best_list_makespan``
+    skips each width vector whose lower bound cannot beat the best makespan
+    so far and abandons each order once it reaches it; neither changes the
+    result.  Ties resolve to the lexicographically smallest (width vector,
+    permutation), and the winner is rebuilt with ``list_schedule``, which
+    must agree on the makespan.
     """
     n = len(jobs)
     if n == 0:
@@ -291,7 +328,7 @@ def permutation_search(
     runtimes = [tuple(runtime(job, w) for job, w in zip(jobs, c)) for c in combos]
     perms = list(itertools.permutations(range(n)))
 
-    best_m, best_c, best_p = _best_list_makespan(
+    best_m, best_c, best_p, _ = _best_list_makespan(
         runtimes, combos, perms, cluster.gpu_count
     )
     width_map = {job.name: w for job, w in zip(jobs, combos[best_c])}

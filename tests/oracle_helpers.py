@@ -3,9 +3,9 @@
 Deliberately dumb re-implementations kept separate from the library code:
 a characteristic-polynomial eigenvalue solver for 3x3 symmetric matrices, an
 exhaustive enumerator over start-time-ordered (semi-active) schedules, a
-greedy list scheduler that hands out GPU ids from a sorted free list, an
-interval-overlap schedule checker, and agglomerative clustering over a dict
-of every live pair.
+greedy list scheduler that hands out GPU ids from a sorted free list, the
+permutation search's kernel without pruning, an interval-overlap schedule
+checker, and agglomerative clustering over a dict of every live pair.
 """
 
 from __future__ import annotations
@@ -116,6 +116,58 @@ def free_list_schedule(jobs, widths, gpu_count: int) -> Schedule:
                 free.extend(p.gpu_ids)
         free.sort()
     return Schedule(tuple(placements), max((p.end for p in placements), default=0.0))
+
+
+def best_list_makespan(
+    runtimes: list[tuple[float, ...]],
+    widths: list[tuple[int, ...]],
+    perms: list[tuple[int, ...]],
+    gpu_count: int,
+) -> tuple[float, int, int]:
+    """Least greedy-list makespan over every (width vector, priority order).
+
+    ``widths[c]``/``runtimes[c]`` give each job's width and runtime in width
+    vector ``c``; ``perms`` are the priority orders.  The simulation is
+    ``list_schedule``'s without GPU ids: start every fitting job in priority
+    order, then advance to the earliest end and release every job ending
+    there.  Returns ``(makespan, combo, perm)`` of the first strict minimum in
+    (combo, perm) enumeration order.
+    """
+    best = (math.inf, -1, -1)
+    for c, (rts, ws) in enumerate(zip(runtimes, widths)):
+        for p, order in enumerate(perms):
+            waiting = order
+            running: list[tuple[float, int]] = []
+            free = gpu_count
+            t = 0.0
+            makespan = 0.0
+            while True:
+                blocked = []
+                for j in waiting:
+                    w = ws[j]
+                    if w <= free:
+                        free -= w
+                        e = t + rts[j]
+                        running.append((e, w))
+                        if e > makespan:
+                            makespan = e
+                    else:
+                        blocked.append(j)
+                if not blocked:
+                    break
+                # every width fits an idle cluster, so something is running
+                waiting = blocked
+                t = min(e for e, _ in running)
+                still = []
+                for e, w in running:
+                    if e == t:
+                        free += w
+                    else:
+                        still.append((e, w))
+                running = still
+            if makespan < best[0]:
+                best = (makespan, c, p)
+    return best
 
 
 def check_schedule(schedule, gpu_count: int, jobs) -> None:

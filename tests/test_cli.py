@@ -155,6 +155,20 @@ def test_schedule_single_gpu_no_savings(tmp_path):
     assert "savings: 0 min" in result.stdout
 
 
+@pytest.mark.parametrize("method", ["permutation", "exact", "heuristic"])
+def test_schedule_end_rounding_to_start_exits_3(tmp_path, method):
+    # 100 + 1e-15 rounds to 100: every method places "tiny" on an empty
+    # interval, which validate_schedule rejects (not a lost GPU)
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_text("name,t1_minutes\nA,100\ntiny,1e-15\nB,100\n")
+    result = run_cli(
+        "schedule", "--jobs", str(jobs), "--gpus", "1", "--method", method,
+        "--out", str(tmp_path / "o"),
+    )
+    assert result.returncode == 3
+    assert result.stderr == "error: tiny: empty execution interval\n"
+
+
 def test_schedule_nine_jobs_exits_4(tmp_path):
     jobs = tmp_path / "jobs9.csv"
     lines = ["name,t1_minutes,s2"] + [f"j{i},10,1.5" for i in range(9)]

@@ -6,13 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perf_charter as pc
+from perf_charter import sched
 from perf_charter.errors import (
     JobSetMismatch,
     SearchSpaceTooLarge,
     UnsupportedWidth,
 )
 
-from oracle_helpers import brute_force_makespan, check_schedule, free_list_schedule
+from oracle_helpers import (
+    best_list_makespan,
+    brute_force_makespan,
+    check_schedule,
+    free_list_schedule,
+)
 
 
 def _job(name, t1, speedup):
@@ -99,6 +105,19 @@ def test_list_schedule_hand_simulation():
     assert ids == {"A": (0, 1), "B": (0,), "C": (1,)}
     assert schedule.makespan == 40.0
     check_schedule(schedule, 2, jobs)
+
+
+def test_list_schedule_releases_a_job_whose_end_rounds_to_its_start():
+    # 100 + 1e-15 rounds to 100: the tiny job's GPU must come back at once,
+    # or B never finds a free GPU
+    jobs = [_job("A", 100.0, {}), _job("tiny", 1e-15, {}), _job("B", 100.0, {})]
+    cluster = pc.ClusterSpec(1)
+    schedule = pc.list_schedule(jobs, {"A": 1, "tiny": 1, "B": 1}, cluster)
+    spans = {p.job: (p.start, p.end) for p in schedule.placements}
+    assert spans == {"A": (0.0, 100.0), "tiny": (100.0, 100.0), "B": (100.0, 200.0)}
+    assert schedule.makespan == 200.0
+    best, _ = pc.permutation_search(jobs, cluster)
+    assert best == schedule
 
 
 def test_list_schedule_work_conservation(sample_jobs, p4):
@@ -199,9 +218,11 @@ _OPTIONS_CAP = {1: 4, 2: 4, 3: 4, 4: 3, 5: 2}
 
 
 @st.composite
-def tie_prone_instances(draw):
+def tie_prone_instances(draw, jitter=(0.0,)):
     # any width menu, non-powers of two included; runtimes are exact small
-    # integers and jobs repeat, so many candidates share the least makespan
+    # integers and jobs repeat, so many candidates share the least makespan.
+    # A relative ``jitter`` on each value moves some of them a last bit or a
+    # rounding margin apart instead.
     gpus = draw(st.integers(1, 8))
     cluster = pc.ClusterSpec(gpus, tuple(draw(st.sets(st.integers(1, gpus), max_size=3))))
     n = draw(st.integers(1, 5))
@@ -216,8 +237,12 @@ def tie_prone_instances(draw):
             draw(st.sets(st.sampled_from(wider), max_size=_OPTIONS_CAP[n] - 1))
             if wider else set()
         )
-        speedup = {w: draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])) for w in supported}
-        jobs.append(_job(f"j{i}", float(draw(st.sampled_from([4, 8, 12, 16]))), speedup))
+        speedup = {
+            w: draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])) * (1 + draw(st.sampled_from(jitter)))
+            for w in supported
+        }
+        t1 = float(draw(st.sampled_from([4, 8, 12, 16]))) * (1 + draw(st.sampled_from(jitter)))
+        jobs.append(_job(f"j{i}", t1, speedup))
     return jobs, cluster
 
 
@@ -226,6 +251,41 @@ def tie_prone_instances(draw):
 def test_permutation_search_equals_explicit_enumeration(instance):
     jobs, cluster = instance
     assert pc.permutation_search(jobs, cluster) == _first_minimum_list_schedule(jobs, cluster)
+
+
+def _kernel_inputs(jobs, cluster):
+    """``_best_list_makespan``'s arguments, built as ``permutation_search`` does."""
+    combos = list(itertools.product(*(sched._width_options(j, cluster) for j in jobs)))
+    runtimes = [tuple(pc.runtime(j, w) for j, w in zip(jobs, c)) for c in combos]
+    perms = list(itertools.permutations(range(len(jobs))))
+    return runtimes, combos, perms, cluster.gpu_count
+
+
+# relative runtime perturbations: last-bit ones, and ones on both sides of
+# the width-vector bound's 1e-9 margin
+_JITTER = (0.0, 2.0**-52, -(2.0**-52), 4 * 2.0**-52, 1e-10, -1e-10, 1e-9, -1e-9, 1e-8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tie_prone_instances(), tie_prone_instances(_JITTER)))
+def test_pruned_kernel_equals_unpruned_oracle(instance):
+    # skipped width vectors and abandoned orders never change the first
+    # strict minimum in (combo, perm) order
+    inputs = _kernel_inputs(*instance)
+    assert sched._best_list_makespan(*inputs)[:3] == best_list_makespan(*inputs)
+
+
+@pytest.mark.parametrize(
+    "gpus, combos, expected",
+    [(2, 64, (2357.4375, 16, 6, 20)), (4, 729, (1300.203094777563, 171, 0, 138))],
+)
+def test_kernel_skips_width_vectors_that_cannot_win(sample_jobs, gpus, combos, expected):
+    # the bundled jobs: (makespan, combo, perm) as the unpruned search finds
+    # them, from only 20 of 64 and 138 of 729 width vectors simulated; the
+    # count depends on the jobs alone, so turning the pruning off fails here
+    inputs = _kernel_inputs(sample_jobs, pc.ClusterSpec(gpus))
+    assert len(inputs[1]) == combos
+    assert sched._best_list_makespan(*inputs) == expected
 
 
 @st.composite
