@@ -205,10 +205,10 @@ def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
 
     rows = []
     for p in points:
-        label = roof.classify(machine, p.precision, p)
+        label = roof.classify(machine, "single", p)
         rows.append((p.name, p.intensity, p.throughput, label))
         if math.isfinite(p.intensity):
-            ceiling = roof.attainable(machine, p.precision, p.intensity)
+            ceiling = roof.attainable(machine, "single", p.intensity)
             if p.throughput > ceiling:
                 print(
                     _escape(f"note: {p.name} throughput {_g(p.throughput)} exceeds the "

@@ -16,8 +16,6 @@ from typing import Sequence
 from .errors import MalformedRow, NonPositiveTime, UnknownPrecision, ZeroTotalTime
 from .model import KernelRecord, _load_json, _name, _number, kernel_summary
 
-PRECISIONS = ("double", "single", "half")
-
 MEMORY_BOUND = "memory_bound"
 COMPUTE_BOUND = "compute_bound"
 AT_RIDGE = "at_ridge"
@@ -78,7 +76,6 @@ class RooflinePoint:
     name: str
     intensity: float       # FLOPs/byte
     throughput: float      # GFLOP/s
-    precision: str = "single"
 
 
 def intensity(flops: int, transactions: int, transaction_bytes: int = DEFAULT_TRANSACTION_BYTES) -> float:
@@ -127,7 +124,6 @@ def workload_point(
     records: Sequence[KernelRecord],
     transaction_bytes: int = DEFAULT_TRANSACTION_BYTES,
     name: str = "workload",
-    precision: str = "single",
 ) -> RooflinePoint:
     """Aggregate one workload's kernel classes into a single roofline point."""
     total_flops, total_bytes, total_time_s = kernel_summary(records, transaction_bytes)
@@ -138,5 +134,4 @@ def workload_point(
         # the byte total already carries transaction_bytes
         intensity=intensity(total_flops, total_bytes, 1),
         throughput=throughput(total_flops, total_time_s),
-        precision=precision,
     )

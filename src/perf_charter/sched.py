@@ -1,10 +1,12 @@
 """Moldable-job scheduling on P identical GPUs.
 
-Four schedulers over the same Job/ClusterSpec inputs:
+Five schedulers over the same Job/ClusterSpec inputs:
 
   naive_schedule       every job one after another at the widest allowed width
   list_schedule        event-driven greedy placement for a given priority
                        order and width assignment
+  heuristic_schedule   the list schedule of the longest jobs first, each at
+                       its fastest width
   permutation_search   minimum-makespan list schedule over all width vectors
                        x priority permutations (the measured-scalability search);
                        skips width vectors whose lower bound cannot beat the
@@ -13,12 +15,14 @@ Four schedulers over the same Job/ClusterSpec inputs:
                        deliberate idle gaps, returns the provably minimal
                        makespan
 
-Jobs are moldable (width fixed at launch) and non-preemptive; no interpolation
-between measured widths.  GPU identity never affects makespans; every
-scheduler decides widths and start times only and hands them to ``_placed``,
-the one GPU-id rule: each job takes the lowest-numbered GPUs that no
-earlier-starting job holds over its interval.  Every scheduler is plain,
-single-threaded Python, so a result depends on its inputs alone.
+One simulation, ``_simulate_list``, serves both ``list_schedule`` and the
+permutation search's kernel.  Jobs are moldable (width fixed at launch) and
+non-preemptive; no interpolation between measured widths.  GPU identity
+never affects makespans; every scheduler decides widths and start times only
+and hands them to ``_placed``, the one GPU-id rule: each job takes the
+lowest-numbered GPUs that no earlier-starting job holds over its interval.
+Every scheduler is plain, single-threaded Python, so a result depends on its
+inputs alone.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import (
     AnalysisError,
@@ -44,6 +49,8 @@ _CANDIDATE_CAP = 100_000_000
 # bound prune only what cannot beat the incumbent by more than this relative
 # margin
 _BOUND_MARGIN = 1.0 + 1e-9
+
+_END_OVERFLOW = "a job's end time overflows a float"
 
 
 def _powers_of_two_upto(p: int) -> tuple[int, ...]:
@@ -121,10 +128,12 @@ def _placed(rows: list[tuple[str, int, float, float]], gpu_count: int) -> Schedu
     """The schedule of ``(job, width, start, end)`` rows given in start order.
 
     Each row takes the lowest-numbered GPUs that no earlier row holds over
-    its interval; the makespan is the latest end.
+    its interval; the makespan is the latest end, which must be finite.
     """
     placements: list[Placement] = []
     for job, w, s, e in rows:
+        if e == math.inf:
+            raise AnalysisError(_END_OVERFLOW)
         used = {g for p in placements if p.start < e and s < p.end for g in p.gpu_ids}
         ids = tuple(g for g in range(gpu_count) if g not in used)[:w]
         if len(ids) < w:
@@ -152,38 +161,24 @@ def list_schedule(
 
     Whenever GPUs free up (and at t=0) the earliest-priority unstarted job
     whose width fits the free count is started, repeatedly within the same
-    instant.
+    instant (``_simulate_list``).  An end that overflows a float is an
+    AnalysisError.
     """
-    waiting = []
+    ws, rts = [], []
     for job in jobs:
         if job.name not in widths:
             raise UnsupportedWidth(f"no width assigned for {job.name}")
         w = widths[job.name]
         if w not in cluster.allowed_widths:
             raise UnsupportedWidth(f"width {w} not in allowed widths for {job.name}")
-        waiting.append((job.name, w, runtime(job, w)))
-
-    free = cluster.gpu_count
-    rows: list[tuple[str, int, float, float]] = []
-    running: list[tuple[float, int]] = []
-    t = 0.0
-    while True:
-        blocked = []
-        for name, w, rt in waiting:
-            if w <= free:
-                free -= w
-                rows.append((name, w, t, t + rt))
-                running.append((t + rt, w))
-            else:
-                blocked.append((name, w, rt))
-        if not blocked:
-            break
-        # every allowed width fits an idle cluster, so something is running;
-        # a job whose end rounds to its start is released at the next step
-        waiting = blocked
-        t = min(running)[0]
-        free += sum(w for e, w in running if e == t)
-        running = [(e, w) for e, w in running if e != t]
+        ws.append(w)
+        rts.append(runtime(job, w))
+    started: list[tuple[float, int, int, float]] = []
+    _simulate_list(range(len(jobs)), ws, rts, cluster.gpu_count, math.inf, started)
+    if len(started) < len(jobs):
+        # the simulation stopped at an end that overflowed to inf
+        raise AnalysisError(_END_OVERFLOW)
+    rows = [(jobs[j].name, w, s, e) for e, w, j, s in started]
     return _placed(rows, cluster.gpu_count)
 
 
@@ -216,23 +211,27 @@ def _incumbent_schedules(jobs: list[Job], cluster: ClusterSpec) -> list[Schedule
     return candidates
 
 
-def _list_makespan(
-    order: tuple[int, ...],
-    ws: tuple[int, ...],
-    rts: tuple[float, ...],
+def _simulate_list(
+    order: Sequence[int],
+    ws: Sequence[int],
+    rts: Sequence[float],
     gpu_count: int,
     cutoff: float,
+    started: list[tuple[float, int, int, float]],
 ) -> float:
     """Makespan of the greedy list schedule, or the first end >= ``cutoff``.
 
-    The simulation is ``list_schedule``'s without GPU ids: start every
-    fitting job in priority order, then advance to the earliest end and
-    release every job ending there.  The makespan only grows, so once a job
-    would end at or after ``cutoff`` the order cannot end below it and the
-    simulation stops there.
+    Jobs are indices into ``ws``/``rts``.  Whenever GPUs free up (and at
+    t=0) every waiting job that fits starts, in priority ``order``; then time
+    advances to the earliest end and releases every job ending there, also
+    one whose end rounded to its start.  Each start is appended to
+    ``started`` as ``(end, width, job, start)``, so the log is in start
+    order.  The makespan only grows, so once a job would end at or after
+    ``cutoff`` the order cannot end below it: that end is returned and the
+    job is not logged.  At ``cutoff=inf`` only an overflowing end does so.
     """
     waiting = order
-    running: list[tuple[float, int]] = []
+    running: list[tuple[float, int, int, float]] = []
     free = gpu_count
     t = 0.0
     makespan = 0.0
@@ -245,7 +244,9 @@ def _list_makespan(
                 if e >= cutoff:
                     return e
                 free -= w
-                running.append((e, w))
+                run = (e, w, j, t)
+                running.append(run)
+                started.append(run)
                 if e > makespan:
                     makespan = e
             else:
@@ -256,11 +257,11 @@ def _list_makespan(
         waiting = blocked
         t = min(running)[0]
         still = []
-        for e, w in running:
-            if e == t:
-                free += w
+        for run in running:
+            if run[0] == t:
+                free += run[1]
             else:
-                still.append((e, w))
+                still.append(run)
         running = still
 
 
@@ -280,10 +281,11 @@ def _best_list_makespan(
     none ends before its longest job, nor before its GPU time spread over
     every GPU.  The margin keeps the rounding of that sum from skipping a
     vector that could still win.  An order is abandoned as soon as it
-    reaches the incumbent (``_list_makespan``).
+    reaches the incumbent (``_simulate_list``).
     """
     best_m, best_c, best_p = math.inf, -1, -1
     simulated = 0
+    started: list[tuple[float, int, int, float]] = []
     for c, (rts, ws) in enumerate(zip(runtimes, widths)):
         # area / P summed term by term stays at most the makespan, so it
         # cannot overflow while the makespan is finite
@@ -292,7 +294,8 @@ def _best_list_makespan(
             continue
         simulated += 1
         for p, order in enumerate(perms):
-            makespan = _list_makespan(order, ws, rts, gpu_count, best_m)
+            makespan = _simulate_list(order, ws, rts, gpu_count, best_m, started)
+            started.clear()
             if makespan < best_m:
                 best_m, best_c, best_p = makespan, c, p
     return best_m, best_c, best_p, simulated
@@ -513,10 +516,11 @@ def validate_schedule(
 _GANTT_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 
 
-def ascii_gantt(schedule: Schedule, gpu_count: int, columns: int = 64) -> str:
+def ascii_gantt(schedule: Schedule, gpu_count: int) -> str:
     """Fixed-width timeline per GPU, one letter per job."""
     if not schedule.placements:
         return "(empty schedule)\n"
+    columns = 64
     span = schedule.makespan
     letters: dict[str, str] = {}
     for p in schedule.placements:

@@ -26,6 +26,9 @@ from .errors import (
 )
 from .model import MetricMatrix, WorkloadProfile, metric_order_key
 
+_JACOBI_TOL = 1e-12
+_JACOBI_MAX_SWEEPS = 100
+
 
 @dataclass(frozen=True)
 class Standardization:
@@ -125,20 +128,16 @@ def _jacobi_sweeps(a, v, threshold, max_sweeps):
                     v[k, q] = vkq + s * (vkp - tau * vkq)
 
 
-def jacobi_eigen(
-    sym: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigen(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
     Converges when the off-diagonal Frobenius norm falls below
-    ``tol * ||A||_F``.  Returns eigenvalues sorted descending and the matching
-    orthonormal eigenvector columns.
+    ``1e-12 * ||A||_F`` within 100 sweeps.  Returns eigenvalues sorted
+    descending and the matching orthonormal eigenvector columns.
     """
     a = np.asarray(sym, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
     m = a.shape[0]
     if m == 0:
         return np.empty(0), np.empty((0, 0))
@@ -147,10 +146,10 @@ def jacobi_eigen(
         raise NotSymmetric(f"max |A - A^T| = {asym:.3e} exceeds 1e-10")
     a = (a + a.T) * 0.5
     v = np.eye(m)
-    threshold = tol * float(np.sqrt((a * a).sum()))
-    converged, off_norm, _ = _jacobi_sweeps(a, v, threshold, max_sweeps)
+    threshold = _JACOBI_TOL * float(np.sqrt((a * a).sum()))
+    converged, off_norm, _ = _jacobi_sweeps(a, v, threshold, _JACOBI_MAX_SWEEPS)
     if not converged:
-        raise MaxSweepsExceeded(off_norm, max_sweeps)
+        raise MaxSweepsExceeded(off_norm, _JACOBI_MAX_SWEEPS)
     eigenvalues = np.diag(a).copy()
     order = np.argsort(-eigenvalues, kind="stable")
     return eigenvalues[order], v[:, order]

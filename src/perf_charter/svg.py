@@ -123,12 +123,8 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return [10.0 ** k for k in range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)]
 
 
-def roofline_svg(
-    machine: MachineModel,
-    points: list[RooflinePoint],
-    width: int = 640,
-    height: int = 440,
-) -> str:
+def roofline_svg(machine: MachineModel, points: list[RooflinePoint]) -> str:
+    width, height = 640, 440
     finite = [p for p in points if math.isfinite(p.intensity) and p.intensity > 0 and p.throughput > 0]
     ridges = [machine.ridge(p) for p in machine.peaks]
     x_lo = min([0.05] + [p.intensity for p in finite]) / 2
@@ -190,8 +186,8 @@ def roofline_svg(
     return "\n".join(parts) + "\n"
 
 
-def gantt_svg(schedule: Schedule, gpu_count: int, width: int = 700) -> str:
-    margin_l, margin_t, row_h, legend_h = 60, 24, 28, 18
+def gantt_svg(schedule: Schedule, gpu_count: int) -> str:
+    width, margin_l, margin_t, row_h, legend_h = 700, 60, 24, 28, 18
     jobs: list[str] = []
     for p in schedule.placements:
         if p.job not in jobs:
@@ -241,10 +237,8 @@ def scatter_svg(
     x_label: str,
     y_label: str,
     suites: dict[str, str] | None = None,
-    width: int = 520,
-    height: int = 460,
 ) -> str:
-    margin = 58
+    width, height, margin = 520, 460, 58
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)

@@ -92,12 +92,14 @@ def free_list_schedule(jobs, widths, gpu_count: int) -> Schedule:
     """Greedy list schedule that keeps the free GPU ids in a sorted list.
 
     Whenever GPUs free up (and at t=0) every unstarted job whose width fits
-    starts, in priority order, on the lowest free ids; the ids of every job
-    ending at the next event go back to the list, which is then re-sorted.
+    starts, in priority order, on the lowest free ids; the ids of every
+    running job with the least end go back to the list, which is then
+    re-sorted.  That includes a job whose end rounded to its start.
     """
     pending = [(job, widths[job.name]) for job in jobs]
     free = list(range(gpu_count))
     placements = []
+    running = []
     started = [False] * len(pending)
     t = 0.0
     while not all(started):
@@ -107,13 +109,15 @@ def free_list_schedule(jobs, widths, gpu_count: int) -> Schedule:
                 del free[:w]
                 rt = job.t1_minutes / job.speedup[w]
                 placements.append(Placement(job.name, w, ids, t, t + rt))
+                running.append(placements[-1])
                 started[i] = True
         if all(started):
             break
-        t = min(p.end for p in placements if p.end > t)
-        for p in placements:
+        t = min(p.end for p in running)
+        for p in running:
             if p.end == t:
                 free.extend(p.gpu_ids)
+        running = [p for p in running if p.end != t]
         free.sort()
     return Schedule(tuple(placements), max((p.end for p in placements), default=0.0))
 

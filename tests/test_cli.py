@@ -169,6 +169,30 @@ def test_schedule_end_rounding_to_start_exits_3(tmp_path, method):
     assert result.stderr == "error: tiny: empty execution interval\n"
 
 
+# each table has a schedule that ends a job at inf
+SCHEDULE_OVERFLOWS = {
+    "two-gpus": ("name,t1_minutes,s2\nA,1e308,1.0\nB,1e308,1.0\n", "2"),
+    "two-jobs": ("name,t1_minutes\nA,1e308\nB,1e308\n", "1"),
+    "three-jobs": ("name,t1_minutes\nA,1e308\nB,1e308\nC,1e308\n", "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULE_OVERFLOWS))
+@pytest.mark.parametrize("method", ["permutation", "exact", "heuristic"])
+def test_schedule_end_overflow_exits_3_and_writes_nothing(tmp_path, method, case):
+    table, gpus = SCHEDULE_OVERFLOWS[case]
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_text(table)
+    out = tmp_path / "out"
+    result = run_cli(
+        "schedule", "--jobs", str(jobs), "--gpus", gpus, "--method", method,
+        "--out", str(out),
+    )
+    assert result.returncode == 3
+    assert result.stderr == "error: a job's end time overflows a float\n"
+    assert not out.exists()
+
+
 def test_schedule_nine_jobs_exits_4(tmp_path):
     jobs = tmp_path / "jobs9.csv"
     lines = ["name,t1_minutes,s2"] + [f"j{i},10,1.5" for i in range(9)]

@@ -2,12 +2,13 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import perf_charter as pc
 from perf_charter import sched
 from perf_charter.errors import (
+    AnalysisError,
     JobSetMismatch,
     SearchSpaceTooLarge,
     UnsupportedWidth,
@@ -107,10 +108,13 @@ def test_list_schedule_hand_simulation():
     check_schedule(schedule, 2, jobs)
 
 
+# 100 + 1e-15 rounds to 100
+_ROUNDING_JOBS = [_job("A", 100.0, {}), _job("tiny", 1e-15, {}), _job("B", 100.0, {})]
+
+
 def test_list_schedule_releases_a_job_whose_end_rounds_to_its_start():
-    # 100 + 1e-15 rounds to 100: the tiny job's GPU must come back at once,
-    # or B never finds a free GPU
-    jobs = [_job("A", 100.0, {}), _job("tiny", 1e-15, {}), _job("B", 100.0, {})]
+    # the tiny job's GPU must come back at once, or B never finds a free GPU
+    jobs = _ROUNDING_JOBS
     cluster = pc.ClusterSpec(1)
     schedule = pc.list_schedule(jobs, {"A": 1, "tiny": 1, "B": 1}, cluster)
     spans = {p.job: (p.start, p.end) for p in schedule.placements}
@@ -301,6 +305,7 @@ def list_schedule_inputs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(list_schedule_inputs())
+@example((_ROUNDING_JOBS, {"A": 1, "tiny": 1, "B": 1}, pc.ClusterSpec(1)))
 def test_list_schedule_equals_free_list_reference(inputs):
     # the GPU ids too: the interval rule gives what a sorted free list gives
     jobs, widths, cluster = inputs
@@ -315,6 +320,24 @@ def test_list_schedule_rejects_disallowed_width():
         pc.list_schedule([job], {"wide": 3}, pc.ClusterSpec(4))  # 3 not in {1,2,4}
     with pytest.raises(UnsupportedWidth):
         pc.list_schedule([job], {}, pc.ClusterSpec(4))
+
+
+_SCHEDULERS = {
+    "naive": pc.naive_schedule,
+    "list": lambda jobs, cluster: pc.list_schedule(jobs, {j.name: 1 for j in jobs}, cluster),
+    "heuristic": pc.heuristic_schedule,
+    "permutation": pc.permutation_search,
+    "exact": pc.exact_schedule,
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("method", sorted(_SCHEDULERS))
+def test_an_end_that_overflows_a_float_is_refused(method, n):
+    # 1e308 + 1e308 is inf: no schedule is returned, in part or in full
+    jobs = [_job(f"j{i}", 1e308, {}) for i in range(n)]
+    with pytest.raises(AnalysisError, match="^a job's end time overflows a float$"):
+        _SCHEDULERS[method](jobs, pc.ClusterSpec(1))
 
 
 # --- exact search -----------------------------------------------------------------------
