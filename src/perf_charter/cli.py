@@ -26,8 +26,7 @@ import warnings
 from collections.abc import Iterable
 from pathlib import Path
 
-from . import cluster as clus
-from . import model, stats, svg
+from . import model, svg
 from . import roofline as roof
 from . import sched
 from .datafiles import sample_path
@@ -102,6 +101,10 @@ def _parse_widths(value: str) -> tuple[int, ...]:
 
 
 def cmd_characterize(args) -> tuple[dict[str, str], Iterable[str]]:
+    # imported here: both load numpy, which the other commands never need
+    from . import cluster as clus
+    from . import stats
+
     fmt = _detect_format(Path(args.profiles))
     profiles = model.parse_workload_profiles(_read_text(args.profiles), fmt)
     matrix = model.matrix_from_profiles(profiles)

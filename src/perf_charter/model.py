@@ -35,8 +35,7 @@ import sys
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DuplicateJobName,
@@ -48,6 +47,9 @@ from .errors import (
     NonPositiveTime,
     TooFewWorkloads,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The closed, ordered metric set; extras (e.g. nvlink_mbps) sort after these
 # in first-appearance order.
@@ -113,6 +115,8 @@ class MetricMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.workload_names), len(self.metric_names)):
             raise ValueError(
@@ -121,6 +125,8 @@ class MetricMatrix:
             )
 
     def __eq__(self, other):
+        import numpy as np
+
         if not isinstance(other, MetricMatrix):
             return NotImplemented
         return (
@@ -363,6 +369,8 @@ def matrix_from_profiles(profiles: list[WorkloadProfile]) -> MetricMatrix:
             f"dropped metric column(s) missing for >=1 workload: {', '.join(dropped)}",
             stacklevel=2,
         )
+    import numpy as np
+
     values = np.array(
         [[p.metrics[m] for m in kept] for p in profiles], dtype=np.float64
     ).reshape(len(profiles), len(kept))

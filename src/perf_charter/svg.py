@@ -7,12 +7,21 @@ embedded, so identical inputs yield byte-identical files.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
+from functools import partial
+from typing import TYPE_CHECKING
 
-from .cluster import Dendrogram
 from .roofline import MachineModel, RooflinePoint
 from .sched import Schedule
+
+if TYPE_CHECKING:
+    from .cluster import Dendrogram
+
+# ``&``, ``<`` and ``>`` as entities, ``&`` first; quotes stay as they are
+# (the same text as ``xml.sax.saxutils.escape``, whose import pulls in
+# ``urllib.request``).
+escape = partial(html.escape, quote=False)
 
 PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import perf_charter as pc
 from perf_charter import svg
@@ -76,3 +78,19 @@ def test_svg_escapes_names():
     out = svg.gantt_svg(schedule, 1)
     assert "a&lt;b&gt;&amp;c" in out
     assert "a<b>" not in out
+
+
+# Pieces that an escape can get wrong: entities already escaped, a lone
+# ampersand, both quote characters and control characters.
+_ESCAPE_PIECES = st.sampled_from(["&", "&amp;", "&lt;", "<", ">", '"', "'", "\x00", "\x1b", "\n", "\r"])
+
+
+@given(st.lists(st.one_of(_ESCAPE_PIECES, st.text(max_size=4)), max_size=12).map("".join))
+@example("&amp;")
+@example("a<b>&c \"q\" 'q'")
+def test_svg_escape_matches_xml_sax(text):
+    # the SVG text must stay byte-identical to what xml.sax.saxutils.escape
+    # gave; only this test imports xml.sax
+    from xml.sax.saxutils import escape as sax_escape
+
+    assert svg.escape(text) == sax_escape(text)
