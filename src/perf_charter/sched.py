@@ -347,14 +347,16 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
 
     Branches over (job, width, start) with starts restricted to 0 and the end
     times of already-placed jobs, placed in chronological order — the
-    semi-active schedules, which contain an optimum.  Lower bounds per node:
-    the work committed after the last start plus the remaining jobs' least
-    area, spread over P GPUs from that start; the longest remaining job's
-    least runtime from that start; and the current makespan.
-    Each child must also pass a deadline-aware area bound: to beat the
-    incumbent, every remaining job needs a width that ends before it, and the
-    work committed after the child's start plus each remaining job's least
-    area among those widths must fit in the GPU time left before it.
+    semi-active schedules, which contain an optimum.  A node's state is
+    ``live``: (width, end) of the placed jobs that end after its last start.
+    Each child must end before the incumbent and pass two area bounds: the
+    work committed after its start plus the remaining jobs' least area fits
+    on P GPUs before the incumbent; and, deadline-aware, each remaining job
+    has a width that ends before it, and their least such areas fit too.
+    The all-jobs area bound and the longest-job bound are checked only at
+    the root: below it, the first child bound is that area bound taken at
+    the child's start, and a job that cannot end in time makes the second
+    one infinite.
     """
     n = len(jobs)
     if n > limit:
@@ -394,7 +396,7 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
     # branch longest jobs first: good schedules appear early, tight pruning
     branch_order = sorted(range(n), key=lambda j: (-min_rt[j], j))
 
-    def dfs(cur_m: float, last_s: float, last_j: int, rem_area: float):
+    def dfs(cur_m: float, last_s: float, last_j: int, rem_area: float, live: list):
         nonlocal best_m, best_pl
         if not remaining:
             if cur_m < best_m:
@@ -407,10 +409,10 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
         # starts at or before last_s <= s, so usage only falls after s: a job
         # fits if it fits at its start instant.
         slots = []
-        for s in sorted({s for s in ({0.0} | {e for (_, _, _, e) in placed}) if s >= last_s}):
+        for s in sorted({last_s, *(pe for _, pe in live)}):
             busy = 0
             overhang = 0.0
-            for (_, pw, _, pe) in placed:
+            for pw, pe in live:
                 if pe > s:
                     busy += pw
                     overhang += pw * (pe - s)
@@ -426,18 +428,6 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
                 least[k] = least_k
                 need += least_k
             slots.append((s, busy, overhang, need, least))
-        # remaining jobs all start at >= last_s (chronological enumeration), so
-        # their work plus the committed overhang must fit after last_s; starts
-        # ascend from last_s, so slots[0] holds the overhang at last_s
-        tail_rt = 0.0
-        for j in remaining:
-            if min_rt[j] > tail_rt:
-                tail_rt = min_rt[j]
-        if (
-            last_s + (rem_area + slots[0][2]) / p_total >= best_m
-            or last_s + tail_rt >= best_m
-        ):
-            return
         for j in branch_order:
             if j not in remaining or prev_twin[j] in remaining:
                 continue
@@ -447,7 +437,7 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
                     if s == last_s and j < last_j:
                         continue
                     e = s + rt
-                    if cur_m >= best_m or e >= best_m:
+                    if e >= best_m:
                         break  # starts ascend, no later start can improve
                     if busy + w > p_total:
                         continue
@@ -465,11 +455,16 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
                         continue
                     placed.append((j, w, s, e))
                     remaining.remove(j)
-                    dfs(e if e > cur_m else cur_m, s, j, rem_after)
+                    dfs(e if e > cur_m else cur_m, s, j, rem_after,
+                        [r for r in live if r[1] > s] + [(w, e)])
                     remaining.add(j)
                     placed.pop()
+                    if cur_m >= best_m:
+                        return  # no child can end before best_m any more
 
-    dfs(0.0, 0.0, -1, sum(min_area))
+    area = sum(min_area)
+    if area / p_total < best_m and max(min_rt) < best_m:
+        dfs(0.0, 0.0, -1, area, [])
     best_pl.sort(key=lambda r: (r[2], r[0]))
     return _placed([(jobs[j].name, w, s, e) for (j, w, s, e) in best_pl], p_total)
 

@@ -99,6 +99,20 @@ def test_console_script_entry_point(tmp_path):
     assert "savings:" in result.stdout
 
 
+# the 8-job instance's exact schedule at 4 GPUs, as (job, width, gpu_ids,
+# start, end), pinned so that a faster search must break its ties the same way
+_EIGHT_JOBS_P4 = [
+    ("MRCNN_Py", 2, (0, 1), 0.0, 1045.6818181818182),
+    ("XFMR_Py", 1, (2,), 0.0, 636.0),
+    ("NCF_Py", 1, (3,), 0.0, 2.2),
+    ("Res50_TF", 1, (3,), 2.2, 1019.1),
+    ("SSD_Py", 1, (2,), 636.0, 842.1),
+    ("extra_a", 1, (2,), 842.1, 962.1),
+    ("extra_b", 1, (2,), 962.1, 1007.1),
+    ("Res50_MX", 4, (0, 1, 2, 3), 1045.6818181818182, 1300.203094777563),
+]
+
+
 def test_exact_schedule_handles_eight_jobs_quickly(sample_jobs):
     import time
 
@@ -112,3 +126,5 @@ def test_exact_schedule_handles_eight_jobs_quickly(sample_jobs):
     heur = pc.heuristic_schedule(jobs, pc.ClusterSpec(4))
     assert exact.makespan <= heur.makespan
     assert elapsed < 60.0
+    assert exact.makespan == 1300.203094777563
+    assert [(p.job, p.width, p.gpu_ids, p.start, p.end) for p in exact.placements] == _EIGHT_JOBS_P4

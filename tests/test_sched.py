@@ -578,6 +578,17 @@ def test_exact_deterministic_rerun(sample_jobs, p4):
     assert a == b
 
 
+def test_exact_returns_seed_when_root_bounds_prove_it_optimal():
+    # on one GPU every order is optimal, and the area bound (the job sum)
+    # proves the LPT seed so before any search.  Searching anyway finds an
+    # order whose float sum is a last bit lower: 48.70399999999999.
+    minutes = {"j0": 6.391, "j1": 4.0, "j2": 13.3, "j3": 7.9, "j4": 17.113}
+    jobs = [pc.Job(name, t1, {}) for name, t1 in minutes.items()]
+    schedule = pc.exact_schedule(jobs, pc.ClusterSpec(1))
+    assert schedule.makespan == 48.704
+    assert [p.job for p in schedule.placements] == ["j4", "j2", "j3", "j0", "j1"]
+
+
 # --- savings ------------------------------------------------------------------------------
 
 def test_savings_identical_is_zero(sample_jobs, p4):
