@@ -5,12 +5,15 @@ a characteristic-polynomial eigenvalue solver for 3x3 symmetric matrices, an
 exhaustive enumerator over start-time-ordered (semi-active) schedules, a
 greedy list scheduler that hands out GPU ids from a sorted free list, the
 permutation search's kernel without pruning, an interval-overlap schedule
-checker, and agglomerative clustering over a dict of every live pair.
+checker, agglomerative clustering over a dict of every live pair, and the
+Jacobi sweeps indexing numpy arrays element by element.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from perf_charter import Placement, Schedule
 
@@ -225,3 +228,74 @@ def agglomerate_merges(dist, linkage: str) -> list[tuple[int, int, float, int]]:
         sizes[new_id] = new_size
         merges.append((a, b, height, new_size))
     return merges
+
+
+def jacobi_sweeps_on_arrays(a, v, threshold, max_sweeps):
+    """Cyclic Jacobi sweeps on numpy arrays, indexed one scalar at a time.
+
+    The same rotations, in the same order, as ``stats._jacobi_sweeps``, which
+    runs them on nested lists of Python floats.  ``a`` is overwritten toward
+    diagonal and ``v`` accumulates the rotations.  Returns ``(converged,
+    off_norm, sweeps)``.
+    """
+    n = a.shape[0]
+    sweeps = 0
+    while True:
+        off2 = 0.0
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                off2 += 2.0 * a[i, j] * a[i, j]
+        off = math.sqrt(off2)
+        if off <= threshold:
+            return 1, off, sweeps
+        if sweeps >= max_sweeps:
+            return 0, off, sweeps
+        sweeps += 1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if abs(theta) > 1e150:
+                    t = 1.0 / (2.0 * theta)
+                elif theta >= 0.0:
+                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
+                else:
+                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                tau = s / (1.0 + c)
+                app = a[p, p]
+                aqq = a[q, q]
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                for k in range(n):
+                    if k != p and k != q:
+                        akp = a[k, p]
+                        akq = a[k, q]
+                        a[k, p] = akp - s * (akq + tau * akp)
+                        a[p, k] = a[k, p]
+                        a[k, q] = akq + s * (akp - tau * akq)
+                        a[q, k] = a[k, q]
+                for k in range(n):
+                    vkp = v[k, p]
+                    vkq = v[k, q]
+                    v[k, p] = vkp - s * (vkq + tau * vkp)
+                    v[k, q] = vkq + s * (vkp - tau * vkq)
+
+
+def jacobi_eigen_on_arrays(sym):
+    """``stats.jacobi_eigen`` on a valid symmetric matrix, with the sweeps
+    run by ``jacobi_sweeps_on_arrays``: same tolerance, sweep cap and order."""
+    a = np.asarray(sym, dtype=np.float64)
+    a = (a + a.T) * 0.5
+    v = np.eye(a.shape[0])
+    threshold = 1e-12 * float(np.sqrt((a * a).sum()))
+    converged, _, _ = jacobi_sweeps_on_arrays(a, v, threshold, 100)
+    assert converged
+    eigenvalues = np.diag(a).copy()
+    order = np.argsort(-eigenvalues, kind="stable")
+    return eigenvalues[order], v[:, order]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -49,6 +50,40 @@ def test_characterize_cut_zero_gives_singletons(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads((out / "subset_report.json").read_text())
     assert len(report["selected"]) == 13  # one representative per singleton
+
+
+# sha256 of what characterize writes for the bundled profiles.  Reruns of
+# one build are compared elsewhere; these pin the bits themselves, so a change
+# in the rounding order of the Jacobi sweeps or of the agglomeration fails
+# here.  The covariance product goes through the BLAS numpy links, and a
+# different BLAS build may move the last bits of pca.json.
+_CHARACTERIZE_GOLDEN = {
+    ("--k", "4"): {
+        "pca.json": "b893d9b027ee7c08cecc2a304f4b04a41d71de969c5590143b8f8a7a133a7578",
+        "dendrogram.json": "691faa3047004d0ca46737f927dfa0083a98b17a5c041be0701ed8daa564bbe5",
+        "subset_report.json": "b4a32f981612f1470e05a93fb603b856d4c800d81e5e3e7e217757a4842db61a",
+        "stdout": "d5ccc45f7a9479032207a273f8134c1ab3c4c90c8b4ef62236900ca44fd006cf",
+    },
+    ("--cut", "0.8", "--space", "pca:4"): {
+        "pca.json": "b893d9b027ee7c08cecc2a304f4b04a41d71de969c5590143b8f8a7a133a7578",
+        "dendrogram.json": "2433999507147255689286755b9b126be20d3336c55b6f3d6ee6a3807f86a588",
+        "subset_report.json": "163a142fe07658f1e359ca7bf7022c28c775c3467a459152479dd2be861eba3b",
+        "stdout": "9190837046b75423e4cd616ec877fd8e1de01d6bddf8860715c3e75e87c03331",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(_CHARACTERIZE_GOLDEN), ids=["k4", "cut-pca4"])
+def test_characterize_matches_golden_digests(tmp_path, args):
+    out = tmp_path / "out"
+    result = run_cli("characterize", "--profiles", PROFILES, *args, "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("pca.json", "dendrogram.json", "subset_report.json")
+    }
+    digests["stdout"] = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digests == _CHARACTERIZE_GOLDEN[args]
 
 
 def test_characterize_missing_input_exits_2(tmp_path):

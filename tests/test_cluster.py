@@ -272,6 +272,8 @@ def oracle_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(oracle_matrices(), st.sampled_from(pc.cluster.LINKAGES))
 @example(np.where(np.eye(6) == 1, 0.0, HUGE), "average")
+# 40 points on a 3 x 3 integer grid: ties spread over many rows of the mask
+@example(pc.pairwise_distances(np.random.RandomState(5).randint(0, 3, (40, 2))), "average")
 def test_agglomerate_matches_dict_oracle(dist, linkage):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -14,7 +14,7 @@ from perf_charter.errors import (
     TooFewRows,
 )
 
-from oracle_helpers import symmetric_3x3_eigenvalues
+from oracle_helpers import jacobi_eigen_on_arrays, symmetric_3x3_eigenvalues
 
 
 def _matrix(values, metrics=None, names=None):
@@ -89,6 +89,39 @@ def test_jacobi_3x3_vs_characteristic_polynomial():
         expected = symmetric_3x3_eigenvalues(a)
         assert w == pytest.approx(expected, abs=1e-8)
         assert np.abs(a @ v - v @ np.diag(w)).max() < 1e-8
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(("general", "diagonal", "rank-deficient", "repeated", "wide")))
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    if kind == "diagonal":
+        return np.diag(draw(arrays(np.float64, n, elements=entries)))
+    if kind == "rank-deficient":
+        b = draw(arrays(np.float64, (n, draw(st.integers(0, max(0, n - 1)))), elements=entries))
+        return b @ b.T
+    if kind == "repeated":
+        # c I + d J: eigenvalue c, n - 1 times over, and c + n d
+        c, d = draw(entries), draw(entries)
+        return c * np.eye(n) + d * np.ones((n, n))
+    b = draw(arrays(np.float64, (n, n), elements=entries))
+    if kind == "wide":
+        # diagonal gaps far above the coupling: the asymptotic theta branch
+        b = np.diag(draw(arrays(np.float64, n, elements=st.floats(-1e149, 1e149)))) + b * 1e-10
+    return b + b.T
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_matrices())
+def test_jacobi_matches_array_sweeps_bit_for_bit(sym):
+    w, v = pc.jacobi_eigen(sym)
+    # a "wide" theta can overflow to inf: numpy scalars warn there, Python
+    # floats do not, and both then take the same asymptotic branch
+    with np.errstate(over="ignore"):
+        w_ref, v_ref = jacobi_eigen_on_arrays(sym)
+    assert w.tobytes() == w_ref.tobytes()
+    assert v.tobytes() == v_ref.tobytes()
 
 
 # --- fit_pca -----------------------------------------------------------------
