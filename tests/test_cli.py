@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 import perf_charter as pc
-from perf_charter import cli
+from perf_charter import cli, svg
 from cli_helpers import cli_env, json_mirror, run_cli
 
 PROFILES = str(pc.sample_path("profiles.csv"))
@@ -84,6 +84,71 @@ def test_characterize_matches_golden_digests(tmp_path, args):
     }
     digests["stdout"] = hashlib.sha256(result.stdout.encode()).hexdigest()
     assert digests == _CHARACTERIZE_GOLDEN[args]
+
+
+KERNEL_FILES = tuple(str(pc.sample_path("kernels", f"{b}.csv")) for b in pc.KERNEL_BENCHMARKS)
+
+# sha256 of what roofline writes and prints, per case: the bundled kernel
+# classes, the seven per-benchmark files (names get the "<stem>/" prefix),
+# those files aggregated, and a JSON mirror of kernels.csv at 64-byte
+# transactions.  roofline.svg prints two decimals, which hide a change in the
+# last bit of a coordinate, so "roofline.svg bits" is the same plot rendered
+# in-process with every coordinate written by ``float.hex``: a change in the
+# rounding order of the plot scale fails there.
+_ROOFLINE_GOLDEN = {
+    "per-class": ((KERNELS,), {
+        "roofline.csv": "433e8a9506e970e73956ff8b403c575c80e502f9cca74aebd7cb1471b2a88b17",
+        "roofline.svg": "521b1c96b8a069baffb208ce30d955212a3d8f610c8f1f6fafae3bee28fe10ef",
+        "stdout": "7803ca18309441a9ee353c03ac30dd018ff10a39afad1e91a9a3c1b43cafdf04",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "roofline.svg bits": "f270335a6d766c915276a259ae83ff78277aecf9654c6eb18ea40560a5f2aa79",
+    }),
+    "per-class-7": (KERNEL_FILES, {
+        "roofline.csv": "f8ac0d51f74e3802707131e90f7d596e6e68be2deadef10a2d32f70c0ef357d0",
+        "roofline.svg": "6f5a3e5e959930202e8925ddd4d84743f65ca6f4bf37e191a8183f8a118539ae",
+        "stdout": "bcac8754d8806c6375f3a00e994d45f0ad3bb9914a03ecf06531855c02774819",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "roofline.svg bits": "226754b2dbb038e414e61015fce745f692c7a486afc05079fb14f18d81754952",
+    }),
+    "aggregate-7": ((*KERNEL_FILES, "--aggregate"), {
+        "roofline.csv": "2b830c17068f3aa975a764662f62c748c92fcea399fe52017b94206095668e8e",
+        "roofline.svg": "5d4523e7b57398568aa80138f00168d7139e534ef61157ce8621eed2bfcf8bfb",
+        "stdout": "c010e1b58f902460c5de447b71bf6e25cb7de667dbc44922b1f50a525a7bf128",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "roofline.svg bits": "b5ffcc2a9a52f3d9b3f57cd42e7a930b0d4e5855d998c573ad0c0f84790aa965",
+    }),
+    "json-tb64": (("kernels.json", "--transaction-bytes", "64"), {
+        "roofline.csv": "e3adcd4c7f2ce0fd94f157807d93d0bc1b7e9c76e2b7eb7fd680dc97f1c61b7e",
+        "roofline.svg": "e7ab10cbbf45a11111c90e687a667b51b3ae7ba474bf268bf5a84d0699491e25",
+        "stdout": "d4fc2cd550244ccba7f30c6eac2eb0493a65c3efbff7988492bdff9efe949192",
+        "stderr": "e4210a069d844fb0dd10b3e230688b9076812556739590803ea6e87606823e18",
+        "roofline.svg bits": "e80efff38b4fcd0f78dbb5f133b128de33abb32156f5e866c1b2d45480dc25c6",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROOFLINE_GOLDEN))
+def test_roofline_matches_golden_digests(tmp_path, monkeypatch, capsys, case):
+    args, expected = _ROOFLINE_GOLDEN[case]
+    if args[0] == "kernels.json":
+        mirror = tmp_path / "kernels.json"
+        mirror.write_text(json_mirror("kernels"))
+        args = (str(mirror), *args[1:])
+    out = tmp_path / "out"
+    result = run_cli("roofline", "--kernels", *args, "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("roofline.csv", "roofline.svg")
+    }
+    digests["stdout"] = hashlib.sha256(result.stdout.encode()).hexdigest()
+    digests["stderr"] = hashlib.sha256(result.stderr.encode()).hexdigest()
+    monkeypatch.setattr(svg, "_f", lambda x: float(x).hex())
+    assert cli.main(["roofline", "--kernels", *args, "--out", str(tmp_path / "bits")]) == 0
+    capsys.readouterr()
+    svg_bits = (tmp_path / "bits" / "roofline.svg").read_bytes()
+    digests["roofline.svg bits"] = hashlib.sha256(svg_bits).hexdigest()
+    assert digests == expected
 
 
 def test_characterize_missing_input_exits_2(tmp_path):
