@@ -196,26 +196,28 @@ def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
                 roof.workload_point(records, args.transaction_bytes, name=path.stem)
             )
         else:
+            prefix = f"{path.stem}/" if multi else ""
             for r in records:
-                name = f"{path.stem}/{r.class_name}" if multi else r.class_name
                 points.append(
                     roof.RooflinePoint(
-                        name,
+                        prefix + r.class_name,
                         roof.intensity(r.flops, r.transactions, args.transaction_bytes),
                         roof.throughput(r.flops, r.time_ms / 1e3) if r.time_ms > 0 else 0.0,
                     )
                 )
 
+    # fixed for the run: every point is classified and capped at single precision
+    ridge = machine.ridge("single")
+    peak = machine.peak("single")
     rows = []
     for p in points:
-        label = roof.classify(machine, "single", p)
-        rows.append((p.name, p.intensity, p.throughput, label))
+        rows.append((*p, roof.classify_at(ridge, p.intensity)))
         if math.isfinite(p.intensity):
-            ceiling = roof.attainable(machine, "single", p.intensity)
+            ceiling = roof.ceiling_at(peak, machine.mem_bandwidth_gbps, p.intensity)
             if p.throughput > ceiling:
                 print(
-                    _escape(f"note: {p.name} throughput {_g(p.throughput)} exceeds the "
-                            f"configured ceiling {_g(ceiling)} GFLOP/s"),
+                    _escape(f"note: {p.name} throughput {p.throughput:.6g} exceeds the "
+                            f"configured ceiling {ceiling:.6g} GFLOP/s"),
                     file=sys.stderr,
                 )
 
@@ -226,9 +228,8 @@ def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
     }
     # the report is lazy, so its lines are never all held at once
     return files, itertools.chain(
-        [f"machine {machine.name}: single-precision ridge at "
-         f"{_g(machine.ridge('single'))} FLOPs/byte"],
-        (f"  {n}: intensity {_g(i)} FLOPs/B, throughput {_g(t)} GFLOP/s -> {c}"
+        [f"machine {machine.name}: single-precision ridge at {ridge:.6g} FLOPs/byte"],
+        (f"  {n}: intensity {i:.6g} FLOPs/B, throughput {t:.6g} GFLOP/s -> {c}"
          for n, i, t, c in rows),
     )
 

@@ -81,6 +81,10 @@ class NotSymmetric(AnalysisError):
     pass
 
 
+class NonFiniteMatrix(AnalysisError):
+    pass
+
+
 class MaxSweepsExceeded(AnalysisError):
     def __init__(self, off_norm: float, sweeps: int):
         super().__init__(

@@ -467,12 +467,12 @@ def parse_kernels(text: str, format: str = "csv") -> list[KernelRecord]:
         try:
             records.append(
                 KernelRecord(
-                    class_name=_name(get("class"), line, "kernel class"),
-                    time_ms=_number(get("time_ms"), line, "time_ms"),
-                    calls=_count(get("calls"), line, "calls"),
-                    unique_kernels=_count(get("unique"), line, "unique"),
-                    flops=_count(get("flops"), line, "flops"),
-                    transactions=_count(get("transactions"), line, "transactions"),
+                    _name(get("class"), line, "kernel class"),
+                    _number(get("time_ms"), line, "time_ms"),
+                    _count(get("calls"), line, "calls"),
+                    _count(get("unique"), line, "unique"),
+                    _count(get("flops"), line, "flops"),
+                    _count(get("transactions"), line, "transactions"),
                 )
             )
         except ValueError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import MalformedRow, NonPositiveTime, UnknownPrecision, ZeroTotalTime
 from .model import KernelRecord, _load_json, _name, _number, kernel_summary
@@ -71,8 +71,9 @@ def parse_machine(text: str) -> MachineModel:
     return machine_from_dict(_load_json(text))
 
 
-@dataclass(frozen=True)
-class RooflinePoint:
+class RooflinePoint(NamedTuple):
+    """One point of the plot; a tuple, so a run builds thousands cheaply."""
+
     name: str
     intensity: float       # FLOPs/byte
     throughput: float      # GFLOP/s
@@ -104,20 +105,28 @@ def throughput(flops: int, time_s: float) -> float:
     return rate
 
 
+def ceiling_at(peak: float, mem_bandwidth_gbps: float, intensity: float) -> float:
+    """Roofline ceiling at the given intensity, from one precision's peak."""
+    return min(peak, mem_bandwidth_gbps * intensity)
+
+
 def attainable(machine: MachineModel, precision: str, intensity: float) -> float:
     """Roofline ceiling at the given intensity."""
     if intensity < 0:
         raise ValueError("intensity must be >= 0")
-    peak = machine.peak(precision)
-    return min(peak, machine.mem_bandwidth_gbps * intensity)
+    return ceiling_at(machine.peak(precision), machine.mem_bandwidth_gbps, intensity)
+
+
+def classify_at(ridge: float, intensity: float) -> str:
+    """memory_bound / compute_bound split at ``ridge`` (relative 1e-9 band)."""
+    if abs(intensity - ridge) <= 1e-9 * ridge:
+        return AT_RIDGE
+    return MEMORY_BOUND if intensity < ridge else COMPUTE_BOUND
 
 
 def classify(machine: MachineModel, precision: str, point: RooflinePoint) -> str:
-    """memory_bound / compute_bound split at the ridge (relative 1e-9 band)."""
-    ridge = machine.ridge(precision)
-    if abs(point.intensity - ridge) <= 1e-9 * ridge:
-        return AT_RIDGE
-    return MEMORY_BOUND if point.intensity < ridge else COMPUTE_BOUND
+    """memory_bound / compute_bound split at the precision's ridge."""
+    return classify_at(machine.ridge(precision), point.intensity)
 
 
 def workload_point(

@@ -23,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     MaxSweepsExceeded,
     MissingMetric,
+    NonFiniteMatrix,
     NotSymmetric,
     TooFewColumns,
     TooFewRows,
@@ -138,11 +139,16 @@ def jacobi_eigen(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Converges when the off-diagonal Frobenius norm falls below
     ``1e-12 * ||A||_F`` within 100 sweeps.  Returns eigenvalues sorted
-    descending and the matching orthonormal eigenvector columns.
+    descending and the matching orthonormal eigenvector columns.  An inf or
+    nan entry is rejected before any sweep.
     """
     a = np.asarray(sym, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        i, j = bad[0]
+        raise NonFiniteMatrix(f"entry [{i}, {j}] is {a[i, j]}; every entry must be finite")
     m = a.shape[0]
     if m == 0:
         return np.empty(0), np.empty((0, 0))

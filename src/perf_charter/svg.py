@@ -144,16 +144,17 @@ def roofline_svg(machine: MachineModel, points: list[RooflinePoint]) -> str:
         raise ValueError("the roofline plot range overflows a float")
     margin_l, margin_r, margin_t, margin_b = 60, 20, 20, 48
     plot_w, plot_h = width - margin_l - margin_r, height - margin_t - margin_b
+    # the plot's log bounds, taken once; each coordinate divides by its span
+    # (not times a reciprocal), so it keeps its bits
+    log_x_lo, log_y_lo = math.log10(x_lo), math.log10(y_lo)
+    x_span = math.log10(x_hi) - log_x_lo
+    y_span = math.log10(y_hi) - log_y_lo
 
     def x_of(v: float) -> float:
-        return margin_l + plot_w * (math.log10(v) - math.log10(x_lo)) / (
-            math.log10(x_hi) - math.log10(x_lo)
-        )
+        return margin_l + plot_w * (math.log10(v) - log_x_lo) / x_span
 
     def y_of(v: float) -> float:
-        return margin_t + plot_h * (
-            1 - (math.log10(v) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        )
+        return margin_t + plot_h * (1 - (math.log10(v) - log_y_lo) / y_span)
 
     parts = _header(width, height, f"roofline {machine.name}")
     for tick in _log_ticks(x_lo, x_hi):
@@ -186,11 +187,9 @@ def roofline_svg(machine: MachineModel, points: list[RooflinePoint]) -> str:
         parts.append(_text(x_of(x_hi) - 4, y_of(peak) - 4, f"{precision} {peak:.6g}", color=color, anchor="end"))
     for i, p in enumerate(finite):
         color = PALETTE[i % len(PALETTE)]
-        parts.append(
-            f'<circle cx="{_f(x_of(p.intensity))}" cy="{_f(y_of(p.throughput))}" r="4" '
-            f'fill="{color}" stroke="#222"/>'
-        )
-        parts.append(_text(x_of(p.intensity) + 6, y_of(p.throughput) - 5, p.name))
+        x, y = x_of(p.intensity), y_of(p.throughput)
+        parts.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="4" fill="{color}" stroke="#222"/>')
+        parts.append(_text(x + 6, y - 5, p.name))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

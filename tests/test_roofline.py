@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perf_charter as pc
+from perf_charter import roofline
 from perf_charter.errors import (
     EmptyInput,
     NonPositiveTime,
@@ -74,6 +75,43 @@ def test_classify_bands(default_machine):
     assert pc.classify(default_machine, "single", mk(1.27)) == "memory_bound"
     assert pc.classify(default_machine, "single", mk(ridge)) == "at_ridge"
     assert pc.classify(default_machine, "single", mk(208.98)) == "compute_bound"
+
+
+def test_classify_band_edges(default_machine):
+    # the labels at and one float beyond each edge of the relative 1e-9 band
+    ridge = default_machine.ridge("single")
+    lo, hi = ridge * (1 - 1e-9), ridge * (1 + 1e-9)
+    expected = {
+        math.nextafter(lo, -math.inf): "memory_bound",
+        lo: "at_ridge",
+        ridge: "at_ridge",
+        hi: "at_ridge",
+        math.nextafter(hi, math.inf): "compute_bound",
+    }
+    for x, label in expected.items():
+        assert pc.classify(default_machine, "single", pc.RooflinePoint("x", x, 1.0)) == label
+        assert roofline.classify_at(ridge, x) == label
+
+
+def test_attainable_shares_the_ceiling_rule(default_machine):
+    peak, bandwidth = default_machine.peaks["single"], default_machine.mem_bandwidth_gbps
+    for x in (0.0, 1.27, 17.5, 208.98, math.inf):
+        assert pc.attainable(default_machine, "single", x) == roofline.ceiling_at(
+            peak, bandwidth, x
+        )
+
+
+def test_roofline_point_contract():
+    point = pc.RooflinePoint("x", 1.0, 2.0)
+    assert point == pc.RooflinePoint(name="x", intensity=1.0, throughput=2.0)
+    assert pc.RooflinePoint._fields == ("name", "intensity", "throughput")
+    assert (point.name, point.intensity, point.throughput) == ("x", 1.0, 2.0)
+    assert repr(point) == "RooflinePoint(name='x', intensity=1.0, throughput=2.0)"
+    for field in pc.RooflinePoint._fields:
+        with pytest.raises(AttributeError):
+            setattr(point, field, 0.0)
+    # a tuple: equal to a plain tuple of the same values
+    assert point == ("x", 1.0, 2.0)
 
 
 def test_machine_orders_peaks():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import perf_charter as pc
 from perf_charter.errors import (
     IndexOutOfRange,
     MissingMetric,
+    NonFiniteMatrix,
     NotSymmetric,
     TooFewRows,
 )
@@ -78,6 +80,15 @@ def test_jacobi_identity():
 def test_jacobi_not_symmetric():
     with pytest.raises(NotSymmetric):
         pc.jacobi_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_jacobi_rejects_non_finite_entries(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        with pytest.raises(NonFiniteMatrix, match=rf"entry \[0, 0\] is {bad}"):
+            pc.jacobi_eigen(np.array([[bad, 1.0], [1.0, 0.0]]))
+    assert NonFiniteMatrix.exit_code == 3
 
 
 def test_jacobi_3x3_vs_characteristic_polynomial():
