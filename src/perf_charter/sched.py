@@ -11,9 +11,9 @@ Five schedulers over the same Job/ClusterSpec inputs:
                        x priority permutations (the measured-scalability search);
                        skips width vectors whose lower bound cannot beat the
                        best so far and stops each order once it reaches it
-  exact_schedule       branch-and-bound over semi-active schedules; may insert
-                       deliberate idle gaps, returns the provably minimal
-                       makespan
+  exact_schedule       branch-and-bound over semi-active schedules, each job
+                       at its earliest feasible start; may insert deliberate
+                       idle gaps, returns the provably minimal makespan
 
 One simulation, ``_simulate_list``, serves both ``list_schedule`` and the
 permutation search's kernel.  Jobs are moldable (width fixed at launch) and
@@ -182,33 +182,14 @@ def list_schedule(
     return _placed(rows, cluster.gpu_count)
 
 
-def _lpt_schedule(jobs: list[Job], cluster: ClusterSpec, width_key) -> Schedule:
-    """Longest-runtime-first list schedule at the widths minimizing ``width_key``."""
+def heuristic_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
+    """Longest-processing-time list schedule at each job's fastest width."""
     widths = {
-        job.name: min(_width_options(job, cluster), key=lambda w: width_key(job, w))
+        job.name: min(_width_options(job, cluster), key=lambda w: (runtime(job, w), w))
         for job in jobs
     }
     ordered = sorted(jobs, key=lambda j: (-runtime(j, widths[j.name]), j.name))
     return list_schedule(ordered, widths, cluster)
-
-
-def heuristic_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
-    """Longest-processing-time list schedule at each job's fastest width."""
-    return _lpt_schedule(jobs, cluster, lambda job, w: (runtime(job, w), w))
-
-
-def _incumbent_schedules(jobs: list[Job], cluster: ClusterSpec) -> list[Schedule]:
-    """Cheap list-schedule starting points for the branch-and-bound."""
-    candidates = [heuristic_schedule(jobs, cluster)]
-    try:
-        candidates.append(naive_schedule(jobs, cluster))
-    except UnsupportedWidth:
-        pass
-    # narrowest efficient width: best speedup-per-GPU, then LPT order
-    candidates.append(
-        _lpt_schedule(jobs, cluster, lambda job, w: (-job.speedup[w] / w, w))
-    )
-    return candidates
 
 
 def _simulate_list(
@@ -345,10 +326,13 @@ def permutation_search(
 def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Schedule:
     """Provably minimal makespan via branch-and-bound.
 
-    Branches over (job, width, start) with starts restricted to 0 and the end
-    times of already-placed jobs, placed in chronological order — the
-    semi-active schedules, which contain an optimum.  A node's state is
-    ``live``: (width, end) of the placed jobs that end after its last start.
+    Branches over (job, width) in chronological order of start: each goes at
+    its earliest feasible start at or after the last start, which is that
+    start or the end of a placed job.  Jobs that start at the same instant are
+    placed in index order.  These left-shifted schedules contain an optimum
+    (the left-shift dominance rule of Demeulemeester & Herroelen, 1992).  A
+    node's state is ``live``: (width, end) of the placed jobs that end after
+    its last start.
     Each child must end before the incumbent and pass two area bounds: the
     work committed after its start plus the remaining jobs' least area fits
     on P GPUs before the incumbent; and, deadline-aware, each remaining job
@@ -356,7 +340,9 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
     The all-jobs area bound and the longest-job bound are checked only at
     the root: below it, the first child bound is that area bound taken at
     the child's start, and a job that cannot end in time makes the second
-    one infinite.
+    one infinite.  The search is seeded with the heuristic schedule; among
+    equal optima it returns the first strict improvement in search order, or
+    the seed if nothing beats it.
     """
     n = len(jobs)
     if n > limit:
@@ -379,7 +365,7 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
     min_rt = [options[0][0] for options in branches]
     min_area = [min(area for _, _, area in options) for options in branches]
 
-    seed = min(_incumbent_schedules(jobs, cluster), key=lambda s: s.makespan)
+    seed = heuristic_schedule(jobs, cluster)
     idx_of = {job.name: j for j, job in enumerate(jobs)}
     # identical jobs are interchangeable: place them in index order, so a job
     # waits for its nearest identical predecessor only
@@ -433,34 +419,39 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
                 continue
             rem_after = rem_area - min_area[j]
             for rt, w, j_area in branches[j]:
-                for s, busy, overhang, need, least in slots:
-                    if s == last_s and j < last_j:
-                        continue
-                    e = s + rt
-                    if e >= best_m:
-                        break  # starts ascend, no later start can improve
-                    if busy + w > p_total:
-                        continue
-                    # child's own tail-area bound, before paying for recursion
-                    if s + (rem_after + overhang + j_area) / p_total >= best_m:
-                        continue
-                    # the deadline-aware bound, with a margin far above
-                    # rounding: one schedule can reach makespans a last bit
-                    # apart by different paths, and this bound must not
-                    # decide which of them is found first.  least[j] is
-                    # finite here, as this width ends in time.
-                    if overhang + j_area + (need - least[j]) >= p_total * (
-                        best_m * _BOUND_MARGIN - s
-                    ):
-                        continue
-                    placed.append((j, w, s, e))
-                    remaining.remove(j)
-                    dfs(e if e > cur_m else cur_m, s, j, rem_after,
-                        [r for r in live if r[1] > s] + [(w, e)])
-                    remaining.add(j)
-                    placed.pop()
-                    if cur_m >= best_m:
-                        return  # no child can end before best_m any more
+                # the earliest start where w GPUs are free; the last slot has
+                # nothing running, so there is one.  A later start is
+                # dominated: shifting the job left keeps every GPU within
+                # capacity and no end grows.
+                for slot in slots:
+                    if slot[1] + w <= p_total:
+                        break
+                s, busy, overhang, need, least = slot
+                if s == last_s and j < last_j:
+                    continue  # reached with j placed before last_j instead
+                e = s + rt
+                if e >= best_m:
+                    continue
+                # child's own tail-area bound, before paying for recursion
+                if s + (rem_after + overhang + j_area) / p_total >= best_m:
+                    continue
+                # the deadline-aware bound, with a margin far above
+                # rounding: one schedule can reach makespans a last bit
+                # apart by different paths, and this bound must not
+                # decide which of them is found first.  least[j] is
+                # finite here, as this width ends in time.
+                if overhang + j_area + (need - least[j]) >= p_total * (
+                    best_m * _BOUND_MARGIN - s
+                ):
+                    continue
+                placed.append((j, w, s, e))
+                remaining.remove(j)
+                dfs(e if e > cur_m else cur_m, s, j, rem_after,
+                    [r for r in live if r[1] > s] + [(w, e)])
+                remaining.add(j)
+                placed.pop()
+                if cur_m >= best_m:
+                    return  # no child can end before best_m any more
 
     area = sum(min_area)
     if area / p_total < best_m and max(min_rt) < best_m:

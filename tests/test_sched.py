@@ -471,6 +471,46 @@ def test_exact_matches_brute_force_when_every_optimum_needs_an_idle_gap():
             check_schedule(exact, gpus, jobs)
 
 
+def _tie_prone_instance(rng):
+    """Up to 5 jobs drawn from 1-3 prototypes, so twins appear, with whole
+    minutes and speedups from a short list, so widths and schedules tie."""
+    gpus = rng.randint(1, 4)
+    widths = tuple(w for w in (1, 2, 3, 4) if w <= gpus)
+    prototypes = []
+    for _ in range(rng.randint(1, 3)):
+        speedup = {
+            w: rng.choice([x for x in (1.0, 1.5, 2.0, 3.0) if x <= w])
+            for w in widths[1:]
+            if rng.random() < 0.6
+        }
+        prototypes.append((float(rng.randint(1, 6)), speedup))
+    jobs = []
+    for i in range(rng.randint(1, 5)):
+        t1, speedup = rng.choice(prototypes)
+        jobs.append(_job(f"j{i}", t1, dict(speedup)))
+    return jobs, pc.ClusterSpec(gpus, widths)
+
+
+def test_exact_matches_brute_force_on_tie_prone_instances():
+    import random
+
+    # with the first twin on one GPU over [0, 3), the second's fastest width
+    # (3 GPUs) starts at 3.0 and cannot end before the seed's 4.0, but its
+    # width 1 at 0.0 can: the search must go on to the next width, not stop
+    # at the first that ends too late
+    twins = [_job(name, 3.0, {2: 1.0, 3: 1.5}) for name in ("a", "b")]
+    schedule = pc.exact_schedule(twins, pc.ClusterSpec(3, (1, 2, 3)))
+    assert schedule.makespan == 3.0
+    check_schedule(schedule, 3, twins)
+    rng = random.Random(1621)
+    for _ in range(60):
+        jobs, cluster = _tie_prone_instance(rng)
+        exact = pc.exact_schedule(jobs, cluster)
+        oracle = brute_force_makespan(jobs, cluster.gpu_count, cluster.allowed_widths)
+        assert exact.makespan == pytest.approx(oracle, abs=1e-9), (jobs, cluster)
+        check_schedule(exact, cluster.gpu_count, jobs)
+
+
 def test_exact_monotone_in_gpu_count():
     import random
 
@@ -506,6 +546,13 @@ _MIX_B = [
     pc.Job("job3", 987.9, {2: 1.83, 4: 3.97, 8: 7.29}),
     pc.Job("job4", 252.8, {2: 1.87, 4: 3.72, 8: 7.47}),
     pc.Job("job5", 1771.6, {2: 1.69, 4: 2.56, 8: 5.68}),
+]
+# three jobs with several optima of makespan 3.0 at 2 GPUs; the search
+# returns the first it finds below the heuristic seed's 3.33
+_TIES = [
+    pc.Job("j0", 2.0, {2: 1.5}),
+    pc.Job("j1", 3.0, {2: 2.0}),
+    pc.Job("j2", 1.0, {2: 2.0}),
 ]
 _ALL8 = (0, 1, 2, 3, 4, 5, 6, 7)
 
@@ -560,13 +607,18 @@ _EXACT_GOLDEN = {
         ("job5", 8, _ALL8, 376.2730239818363, 688.1744324325405),
         ("job4", 8, _ALL8, 688.1744324325405, 722.0164672384307),
     ]),
+    "ties-p2": ("ties", 2, (), 3.0, [
+        ("j1", 1, (0,), 0.0, 3.0),
+        ("j2", 1, (1,), 0.0, 1.0),
+        ("j0", 1, (1,), 1.0, 3.0),
+    ]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_EXACT_GOLDEN))
 def test_exact_schedule_matches_golden_placements(case, sample_jobs):
     jobs_name, gpus, widths, makespan, placements = _EXACT_GOLDEN[case]
-    jobs = {"bundled": sample_jobs, "mix-a": _MIX_A, "mix-b": _MIX_B}[jobs_name]
+    jobs = {"bundled": sample_jobs, "mix-a": _MIX_A, "mix-b": _MIX_B, "ties": _TIES}[jobs_name]
     schedule = pc.exact_schedule(jobs, pc.ClusterSpec(gpus, widths))
     assert schedule.makespan == makespan
     assert [(p.job, p.width, p.gpu_ids, p.start, p.end) for p in schedule.placements] == placements
