@@ -30,7 +30,7 @@ from . import model, svg
 from . import roofline as roof
 from . import sched
 from .datafiles import sample_path
-from .errors import EmptyInput, OutputError, ParseError, PerfCharterError
+from .errors import OutputError, ParseError, PerfCharterError
 from .model import _dump_json, _write_rows
 
 
@@ -72,10 +72,6 @@ def _write_outputs(out: str, files: dict[str, str]) -> None:
             with contextlib.suppress(OSError):
                 tmp.unlink()
         raise OutputError(f"cannot write {out}: {exc}") from None
-
-
-def _g(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def _parse_space(value: str) -> tuple[str, int]:
@@ -155,8 +151,8 @@ def cmd_characterize(args) -> tuple[dict[str, str], Iterable[str]]:
             matrix.workload_names,
             [float(v) for v in pca.projections[:, 0]],
             [float(v) for v in pca.projections[:, 1]],
-            f"PC1 ({_g(100 * pca.explained[0])}%, {dom1})",
-            f"PC2 ({_g(100 * pca.explained[1])}%, {dom2})",
+            f"PC1 ({100 * pca.explained[0]:.6g}%, {dom1})",
+            f"PC2 ({100 * pca.explained[1]:.6g}%, {dom2})",
             suites=suites,
         )
     lines = [f"workloads: {len(matrix.workload_names)}  metrics: {len(pca.metric_names)}"
@@ -165,19 +161,19 @@ def cmd_characterize(args) -> tuple[dict[str, str], Iterable[str]]:
     shares = []
     for i, frac in enumerate(pca.explained[:4]):
         cum += float(frac)
-        shares.append(f"PC{i + 1} {_g(100 * frac)}%")
-    lines.append(f"explained variance: {', '.join(shares)} (cumulative {_g(100 * cum)}%)")
+        shares.append(f"PC{i + 1} {100 * frac:.6g}%")
+    lines.append(f"explained variance: {', '.join(shares)} (cumulative {100 * cum:.6g}%)")
     for i in range(len(pca.metric_names)):
         name, loading = stats.dominant_metric(pca, i)
-        lines.append(f"  PC{i + 1} dominated by {name} (loading {_g(loading)})")
-    lines.append(f"clusters at threshold {_g(threshold)}:")
+        lines.append(f"  PC{i + 1} dominated by {name} (loading {loading:.6g})")
+    lines.append(f"clusters at threshold {threshold:.6g}:")
     for i, cluster in enumerate(clusters):
         lines.append(f"  {i + 1}: {', '.join(sorted(cluster))}")
     lines.append(f"selected subset: {', '.join(report.selected)}")
     lines.append("coverage of full ranges (%):")
     for metric, (lo, hi) in report.coverage.items():
         flag = "  [constant metric]" if metric in report.degenerate else ""
-        lines.append(f"  {metric}: {_g(lo)} .. {_g(hi)}{flag}")
+        lines.append(f"  {metric}: {lo:.6g} .. {hi:.6g}{flag}")
     return files, lines
 
 
@@ -190,7 +186,7 @@ def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
         path = Path(path_str)
         records = model.parse_kernels(_read_text(path), _detect_format(path))
         if not records:
-            raise EmptyInput(f"{path}: no kernel records")
+            raise ParseError(f"{path}: no kernel records")
         if args.aggregate:
             points.append(
                 roof.workload_point(records, args.transaction_bytes, name=path.stem)
@@ -265,9 +261,9 @@ def cmd_schedule(args) -> tuple[dict[str, str], Iterable[str]]:
     report = (
         f"jobs: {len(jobs)}  gpus: {cluster_spec.gpu_count}  "
         f"widths: {','.join(map(str, cluster_spec.allowed_widths))}\n"
-        f"naive makespan:    {_g(naive.makespan)} min\n"
-        f"{args.method} makespan: {_g(best.makespan)} min{suffix}\n"
-        f"savings: {_g(saved)} min ({_g(saved / 60)} h)\n"
+        f"naive makespan:    {naive.makespan:.6g} min\n"
+        f"{args.method} makespan: {best.makespan:.6g} min{suffix}\n"
+        f"savings: {saved:.6g} min ({saved / 60:.6g} h)\n"
         + sched.ascii_gantt(best, cluster_spec.gpu_count)
     )
     return files, report.removesuffix("\n").split("\n")

@@ -26,13 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    InvalidDistanceMatrix,
-    KOutOfRange,
-    TooFewRows,
-    UnknownWorkload,
-)
+from .errors import AnalysisError, ParseError
 from .model import MetricMatrix
 
 LINKAGES = ("single", "complete", "average")
@@ -64,7 +58,7 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     if points.ndim != 2:
         raise ValueError(f"expected 2-D points, got shape {points.shape}")
     if points.shape[0] < 2:
-        raise TooFewRows(f"need at least 2 points, got {points.shape[0]}")
+        raise AnalysisError(f"need at least 2 points, got {points.shape[0]}")
     # one row at a time: no n x n x d temporary
     dist = np.empty((points.shape[0], points.shape[0]))
     for i, row in enumerate(points):
@@ -76,18 +70,18 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
 def _check_distance_matrix(dist: np.ndarray) -> np.ndarray:
     dist = np.asarray(dist, dtype=np.float64)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise InvalidDistanceMatrix(f"expected a square matrix, got shape {dist.shape}")
+        raise AnalysisError(f"expected a square matrix, got shape {dist.shape}")
     if dist.shape[0] < 2:
-        raise TooFewRows(f"need at least 2 rows, got {dist.shape[0]}")
+        raise AnalysisError(f"need at least 2 rows, got {dist.shape[0]}")
     if not np.isfinite(dist).all():
-        raise InvalidDistanceMatrix("non-finite entries")
+        raise AnalysisError("non-finite entries")
     if (dist < 0).any():
-        raise InvalidDistanceMatrix("negative entries")
+        raise AnalysisError("negative entries")
     scale = 1.0 + float(np.max(dist))
     if np.max(np.abs(dist - dist.T)) > 1e-8 * scale:
-        raise InvalidDistanceMatrix("asymmetric entries")
+        raise AnalysisError("asymmetric entries")
     if np.max(np.abs(np.diag(dist))) > 1e-8 * scale:
-        raise InvalidDistanceMatrix("nonzero diagonal")
+        raise AnalysisError("nonzero diagonal")
     return dist
 
 
@@ -177,7 +171,7 @@ def cut_k(dendrogram: Dendrogram, k: int) -> tuple[list[set[str]], float]:
     """Undo the last k-1 merges; threshold is the first undone merge height."""
     n = len(dendrogram.leaves)
     if not 1 <= k <= n:
-        raise KOutOfRange(f"k must be in [1, {n}], got {k}")
+        raise AnalysisError(f"k must be in [1, {n}], got {k}")
     applied = n - k
     threshold = float("inf") if k == 1 else dendrogram.merges[applied].height
     return _clusters_from_merges(dendrogram, applied), threshold
@@ -193,7 +187,7 @@ def select_representatives(
         members = sorted(cluster)
         for member in members:
             if member not in index:
-                raise UnknownWorkload(member)
+                raise AnalysisError(f"unknown workload {member!r}")
         ids = [index[m] for m in members]
         best = min(
             members,
@@ -206,11 +200,11 @@ def select_representatives(
 def coverage(full: MetricMatrix, subset: Sequence[str]) -> SubsetReport:
     """Span of the subset per metric as positions in the full min-max range."""
     if len(subset) == 0:
-        raise EmptyInput("subset must contain at least one workload")
+        raise ParseError("subset must contain at least one workload")
     rows = []
     for name in subset:
         if name not in full.workload_names:
-            raise UnknownWorkload(name)
+            raise AnalysisError(f"unknown workload {name!r}")
         rows.append(full.workload_names.index(name))
     cov: dict[str, tuple[float, float]] = {}
     degenerate: list[str] = []

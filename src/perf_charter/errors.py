@@ -1,6 +1,10 @@
 """Exception hierarchy shared across the toolkit.
 
-Each class's ``exit_code`` is the CLI exit code of the errors it covers.
+Each class's ``exit_code`` is the CLI exit code of the errors it covers: 2
+for a ``ParseError`` (input that cannot be ingested) or an ``OutputError``
+(output that cannot be written), 3 for an ``AnalysisError`` (ingested data
+that violates an analysis precondition) and 4 for ``SearchSpaceTooLarge``.
+The message says what went wrong; the CLI prints it as its ``error:`` line.
 """
 
 
@@ -26,121 +30,27 @@ class OutputError(PerfCharterError):
     exit_code = 2
 
 
-# --- ingestion -------------------------------------------------------------
-
 class MalformedRow(ParseError):
+    """A row of an input file is invalid; ``line`` is its 1-based position."""
+
     def __init__(self, line: int, reason: str):
         super().__init__(f"line {line}: {reason}")
         self.line = line
-        self.reason = reason
-
-
-class DuplicateWorkloadName(ParseError):
-    pass
 
 
 class NonNumericCell(ParseError):
+    """A cell that must hold a number does not; ``line`` is its row's."""
+
     def __init__(self, line: int, column: str, value: str, expected: str = "a number"):
         super().__init__(f"line {line}, column {column!r}: not {expected}: {value!r}")
         self.line = line
-        self.column = column
-        self.value = value
-
-
-class TooFewWorkloads(ParseError):
-    pass
-
-
-class NonPositiveTime(ParseError):
-    pass
-
-
-class NonPositiveSpeedup(ParseError):
-    pass
-
-
-class DuplicateJobName(ParseError):
-    pass
-
-
-class EmptyInput(ParseError):
-    pass
-
-
-# --- stats -----------------------------------------------------------------
-
-class TooFewRows(AnalysisError):
-    pass
-
-
-class TooFewColumns(AnalysisError):
-    pass
-
-
-class NotSymmetric(AnalysisError):
-    pass
-
-
-class NonFiniteMatrix(AnalysisError):
-    pass
-
-
-class MaxSweepsExceeded(AnalysisError):
-    def __init__(self, off_norm: float, sweeps: int):
-        super().__init__(
-            f"no convergence after {sweeps} sweeps (off-diagonal norm {off_norm:.3e})"
-        )
-        self.off_norm = off_norm
-        self.sweeps = sweeps
-
-
-class IndexOutOfRange(AnalysisError):
-    pass
-
-
-class MissingMetric(AnalysisError):
-    pass
-
-
-# --- cluster ---------------------------------------------------------------
-
-class InvalidDistanceMatrix(AnalysisError):
-    pass
-
-
-class KOutOfRange(AnalysisError):
-    pass
-
-
-class UnknownWorkload(AnalysisError):
-    pass
-
-
-# --- roofline --------------------------------------------------------------
-
-class UnknownPrecision(AnalysisError):
-    pass
-
-
-class ZeroTotalTime(AnalysisError):
-    pass
-
-
-# --- sched -----------------------------------------------------------------
-
-class UnsupportedWidth(AnalysisError):
-    pass
 
 
 class SearchSpaceTooLarge(PerfCharterError):
+    """The search-space guard tripped; ``bound`` is the size that tripped it."""
+
     exit_code = 4
 
-    def __init__(self, bound: int, limit: int, message: str = ""):
-        detail = message or f"search space bound {bound} exceeds limit {limit}"
-        super().__init__(detail)
+    def __init__(self, bound: int, message: str):
+        super().__init__(message)
         self.bound = bound
-        self.limit = limit
-
-
-class JobSetMismatch(AnalysisError):
-    pass

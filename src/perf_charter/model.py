@@ -37,16 +37,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import (
-    DuplicateJobName,
-    DuplicateWorkloadName,
-    EmptyInput,
-    MalformedRow,
-    NonNumericCell,
-    NonPositiveSpeedup,
-    NonPositiveTime,
-    TooFewWorkloads,
-)
+from .errors import MalformedRow, NonNumericCell, ParseError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -170,14 +161,14 @@ class Job:
 
     def __post_init__(self):
         if not self.t1_minutes > 0:
-            raise NonPositiveTime(f"{self.name}: t1_minutes must be > 0")
+            raise ParseError(f"{self.name}: t1_minutes must be > 0")
         if 1 in self.speedup and self.speedup[1] != 1.0:
             raise ValueError(f"{self.name}: width-1 speedup must be 1.0")
         for width, value in self.speedup.items():
             if not (isinstance(width, int) and width >= 1):
                 raise ValueError(f"{self.name}: bad width {width!r}")
             if not value > 0:
-                raise NonPositiveSpeedup(f"{self.name}: speedup at width {width} must be > 0")
+                raise ParseError(f"{self.name}: speedup at width {width} must be > 0")
         normalized = {1: 1.0}
         normalized.update(sorted(self.speedup.items()))
         normalized[1] = 1.0
@@ -332,7 +323,7 @@ def parse_workload_profiles(text: str, format: str = "csv") -> list[WorkloadProf
     for line, row in rows:
         name = _name(row.get("name"), line, "workload")
         if name in seen:
-            raise DuplicateWorkloadName(name)
+            raise MalformedRow(line, f"duplicate workload name {name!r}")
         seen.add(name)
         suite = row.get("suite")
         if suite is not None and type(suite) is not str:
@@ -352,7 +343,7 @@ def parse_workload_profiles(text: str, format: str = "csv") -> list[WorkloadProf
 def matrix_from_profiles(profiles: list[WorkloadProfile]) -> MetricMatrix:
     """Tabulate profiles; drops (with a warning) any metric absent somewhere."""
     if len(profiles) < 2:
-        raise TooFewWorkloads(f"need at least 2 workloads, got {len(profiles)}")
+        raise ParseError(f"need at least 2 workloads, got {len(profiles)}")
     appearance: dict[str, int] = {}
     for profile in profiles:
         for metric in profile.metrics:
@@ -409,11 +400,11 @@ def parse_jobs(text: str, format: str = "csv") -> list[Job]:
     for line, row in rows:
         name = _name(row.get("name"), line, "job")
         if name in seen:
-            raise DuplicateJobName(name)
+            raise MalformedRow(line, f"duplicate job name {name!r}")
         seen.add(name)
         t1 = _number(row.get("t1_minutes"), line, "t1_minutes")
         if not t1 > 0:
-            raise NonPositiveTime(f"line {line}: t1_minutes must be > 0")
+            raise ParseError(f"line {line}: t1_minutes must be > 0")
         speedup: dict[int, float] = {}
         for key, value in row.items():
             if value is None or key == "name" or key == "t1_minutes":
@@ -423,7 +414,7 @@ def parse_jobs(text: str, format: str = "csv") -> list[Job]:
                 raise MalformedRow(line, f"duplicate speedup column {key!r}")
             value = _number(value, line, key)
             if not value > 0:
-                raise NonPositiveSpeedup(f"line {line}: {key} must be > 0")
+                raise ParseError(f"line {line}: {key} must be > 0")
             if width == 1 and value != 1.0:
                 raise MalformedRow(line, "width-1 speedup must be 1.0")
             runtime = t1 / value
@@ -497,7 +488,7 @@ def kernel_summary(
     uses fsum, so the result is invariant under row permutation.
     """
     if not records:
-        raise EmptyInput("kernel_summary needs at least one record")
+        raise ParseError("kernel_summary needs at least one record")
     if not transaction_bytes > 0:
         raise ValueError("transaction_bytes must be > 0")
     total_flops = sum(r.flops for r in records)

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import MalformedRow, NonPositiveTime, UnknownPrecision, ZeroTotalTime
+from .errors import AnalysisError, MalformedRow, ParseError
 from .model import KernelRecord, _load_json, _name, _number, kernel_summary
 
 MEMORY_BOUND = "memory_bound"
@@ -48,7 +48,7 @@ class MachineModel:
 
     def peak(self, precision: str) -> float:
         if precision not in self.peaks:
-            raise UnknownPrecision(f"{self.name} has no {precision!r} peak")
+            raise AnalysisError(f"{self.name} has no {precision!r} peak")
         return self.peaks[precision]
 
 
@@ -94,7 +94,7 @@ def intensity(flops: int, transactions: int, transaction_bytes: int = DEFAULT_TR
 def throughput(flops: int, time_s: float) -> float:
     """GFLOP/s over the measured interval; a rate that overflows is a ValueError."""
     if not time_s > 0:
-        raise NonPositiveTime(f"time_s must be > 0, got {time_s}")
+        raise ParseError(f"time_s must be > 0, got {time_s}")
     rate = flops / time_s / 1e9
     if rate == math.inf:
         # FLOPs per second can overflow where GFLOP/s fits; this order is
@@ -137,7 +137,7 @@ def workload_point(
     """Aggregate one workload's kernel classes into a single roofline point."""
     total_flops, total_bytes, total_time_s = kernel_summary(records, transaction_bytes)
     if total_time_s == 0:
-        raise ZeroTotalTime(f"{name}: zero total kernel time")
+        raise AnalysisError(f"{name}: zero total kernel time")
     return RooflinePoint(
         name=name,
         # the byte total already carries transaction_bytes

@@ -32,12 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    AnalysisError,
-    JobSetMismatch,
-    SearchSpaceTooLarge,
-    UnsupportedWidth,
-)
+from .errors import AnalysisError, SearchSpaceTooLarge
 from .model import Job
 
 
@@ -105,20 +100,20 @@ class Schedule:
 def runtime(job: Job, width: int) -> float:
     """Minutes at the given width; only measured widths are schedulable."""
     if width not in job.speedup:
-        raise UnsupportedWidth(f"{job.name} has no speedup for width {width}")
+        raise AnalysisError(f"{job.name} has no speedup for width {width}")
     return job.t1_minutes / job.speedup[width]
 
 
 def scaling_efficiency(job: Job, width: int) -> float:
     if width not in job.speedup:
-        raise UnsupportedWidth(f"{job.name} has no speedup for width {width}")
+        raise AnalysisError(f"{job.name} has no speedup for width {width}")
     return job.speedup[width] / width
 
 
 def _width_options(job: Job, cluster: ClusterSpec) -> list[int]:
     options = sorted(w for w in cluster.allowed_widths if w in job.speedup)
     if not options:
-        raise UnsupportedWidth(
+        raise AnalysisError(
             f"{job.name} supports none of the allowed widths {cluster.allowed_widths}"
         )
     return options
@@ -167,10 +162,10 @@ def list_schedule(
     ws, rts = [], []
     for job in jobs:
         if job.name not in widths:
-            raise UnsupportedWidth(f"no width assigned for {job.name}")
+            raise AnalysisError(f"no width assigned for {job.name}")
         w = widths[job.name]
         if w not in cluster.allowed_widths:
-            raise UnsupportedWidth(f"width {w} not in allowed widths for {job.name}")
+            raise AnalysisError(f"width {w} not in allowed widths for {job.name}")
         ws.append(w)
         rts.append(runtime(job, w))
     started: list[tuple[float, int, int, float]] = []
@@ -301,13 +296,9 @@ def permutation_search(
     options = [_width_options(job, cluster) for job in jobs]
     bound = math.factorial(n) * math.prod(len(o) for o in options)
     if n > limit:
-        raise SearchSpaceTooLarge(
-            bound, limit, f"{n} jobs > limit {limit} (candidate bound {bound})"
-        )
+        raise SearchSpaceTooLarge(bound, f"{n} jobs > limit {limit} (candidate bound {bound})")
     if bound > _CANDIDATE_CAP:
-        raise SearchSpaceTooLarge(
-            bound, limit, f"candidate bound {bound} exceeds {_CANDIDATE_CAP}"
-        )
+        raise SearchSpaceTooLarge(bound, f"candidate bound {bound} exceeds {_CANDIDATE_CAP}")
     combos = list(itertools.product(*options))
     runtimes = [tuple(runtime(job, w) for job, w in zip(jobs, c)) for c in combos]
     perms = list(itertools.permutations(range(n)))
@@ -346,7 +337,7 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
     """
     n = len(jobs)
     if n > limit:
-        raise SearchSpaceTooLarge(n, limit, f"{n} jobs > limit {limit}")
+        raise SearchSpaceTooLarge(n, f"{n} jobs > limit {limit}")
     if n == 0:
         return Schedule((), 0.0)
     p_total = cluster.gpu_count
@@ -465,7 +456,7 @@ def savings(naive: Schedule, best: Schedule) -> float:
     naive_jobs = sorted(p.job for p in naive.placements)
     best_jobs = sorted(p.job for p in best.placements)
     if naive_jobs != best_jobs:
-        raise JobSetMismatch("schedules cover different job sets")
+        raise AnalysisError("schedules cover different job sets")
     return naive.makespan - best.makespan
 
 

@@ -18,16 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    AnalysisError,
-    IndexOutOfRange,
-    MaxSweepsExceeded,
-    MissingMetric,
-    NonFiniteMatrix,
-    NotSymmetric,
-    TooFewColumns,
-    TooFewRows,
-)
+from .errors import AnalysisError
 from .model import MetricMatrix, WorkloadProfile, metric_order_key
 
 _JACOBI_TOL = 1e-12
@@ -60,7 +51,7 @@ def standardize(
     """Z-score each column; zero-variance columns are removed and reported."""
     n = len(matrix.workload_names)
     if n < 2:
-        raise TooFewRows(f"standardize needs n >= 2 rows, got {n}")
+        raise AnalysisError(f"standardize needs n >= 2 rows, got {n}")
     values = matrix.values
     means = values.mean(axis=0)
     stds = values.std(axis=0, ddof=1)
@@ -144,23 +135,26 @@ def jacobi_eigen(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.asarray(sym, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
+        raise AnalysisError(f"expected a square matrix, got shape {a.shape}")
     bad = np.argwhere(~np.isfinite(a))
     if len(bad):
         i, j = bad[0]
-        raise NonFiniteMatrix(f"entry [{i}, {j}] is {a[i, j]}; every entry must be finite")
+        raise AnalysisError(f"entry [{i}, {j}] is {a[i, j]}; every entry must be finite")
     m = a.shape[0]
     if m == 0:
         return np.empty(0), np.empty((0, 0))
     asym = np.max(np.abs(a - a.T)) if m > 1 else 0.0
     if asym > 1e-10:
-        raise NotSymmetric(f"max |A - A^T| = {asym:.3e} exceeds 1e-10")
+        raise AnalysisError(f"max |A - A^T| = {asym:.3e} exceeds 1e-10")
     a = (a + a.T) * 0.5
     threshold = _JACOBI_TOL * float(np.sqrt((a * a).sum()))
     a, v = a.tolist(), np.eye(m).tolist()
     converged, off_norm, _ = _jacobi_sweeps(a, v, threshold, _JACOBI_MAX_SWEEPS)
     if not converged:
-        raise MaxSweepsExceeded(off_norm, _JACOBI_MAX_SWEEPS)
+        raise AnalysisError(
+            f"no convergence after {_JACOBI_MAX_SWEEPS} sweeps "
+            f"(off-diagonal norm {off_norm:.3e})"
+        )
     eigenvalues = np.array([a[i][i] for i in range(m)])
     v = np.array(v)
     order = np.argsort(-eigenvalues, kind="stable")
@@ -172,7 +166,7 @@ def fit_pca(matrix: MetricMatrix) -> PcaModel:
     z, params, dropped = standardize(matrix)
     retained = [m for m in matrix.metric_names if m not in dropped]
     if not retained:
-        raise TooFewColumns("no metric column with nonzero variance")
+        raise AnalysisError("no metric column with nonzero variance")
     n = z.shape[0]
     cov = z.T @ z / (n - 1)
     cov = (cov + cov.T) * 0.5
@@ -204,7 +198,7 @@ def dominant_metric(model: PcaModel, pc: int) -> tuple[str, float]:
     """Metric with the largest |loading| on the given PC; canonical-order ties."""
     m = len(model.metric_names)
     if not 0 <= pc < m:
-        raise IndexOutOfRange(f"pc {pc} out of range for {m} components")
+        raise AnalysisError(f"pc {pc} out of range for {m} components")
     loadings = model.eigenvectors[:, pc]
     top = np.max(np.abs(loadings))
     best = min(
@@ -220,7 +214,7 @@ def project(model: PcaModel, profile: WorkloadProfile | Mapping[str, float]) -> 
     x = np.empty(len(model.metric_names))
     for i, name in enumerate(model.metric_names):
         if name not in metrics:
-            raise MissingMetric(name)
+            raise AnalysisError(f"metric {name!r} is missing from the profile")
         x[i] = metrics[name]
     z = (x - model.standardization.means) / model.standardization.stds
     return z @ model.eigenvectors

@@ -549,3 +549,103 @@ def test_closed_stdout_exits_2(tmp_path):
         stderr = err.read()
     assert stderr.startswith("error: cannot write to stdout: ")
     assert stderr.count("\n") == 1
+
+
+_ELEVEN_JOBS = "name,t1_minutes,s2\n" + "".join(f"j{i},10,1.5\n" for i in range(11))
+
+
+# The CLI error contract: each rejected input's exit code and exact stderr.
+# Inputs are written to the working directory, so the messages name them
+# by their relative paths.
+@pytest.mark.parametrize(
+    "files, argv, code, stderr",
+    [
+        pytest.param(
+            {"jobs.csv": "name,t1_minutes,s2\na,10,1.5\na,20,1.5\n"},
+            ["schedule", "--jobs", "jobs.csv", "--gpus", "2"],
+            2, "error: line 3: duplicate job name 'a'\n",
+            id="duplicate-job-csv",
+        ),
+        pytest.param(
+            {"jobs.json": '[{"name": "a", "t1_minutes": 10}, {"name": "a", "t1_minutes": 20}]'},
+            ["schedule", "--jobs", "jobs.json", "--gpus", "2"],
+            2, "error: line 2: duplicate job name 'a'\n",
+            id="duplicate-job-json",
+        ),
+        pytest.param(
+            {"p.csv": "name,suite,m\nw,Other,1\nw,Other,2\nv,Other,3\n"},
+            ["characterize", "--profiles", "p.csv"],
+            2, "error: line 3: duplicate workload name 'w'\n",
+            id="duplicate-workload",
+        ),
+        pytest.param(
+            {"p.csv": "name,suite,m\nonly,Other,1\n"},
+            ["characterize", "--profiles", "p.csv"],
+            2, "error: need at least 2 workloads, got 1\n",
+            id="one-workload",
+        ),
+        pytest.param(
+            {"p.csv": "name,suite,m\na,Other,1\nb,Other,1\n"},
+            ["characterize", "--profiles", "p.csv"],
+            3, "warning: dropped zero-variance metric column(s): m\n"
+               "error: no metric column with nonzero variance\n",
+            id="constant-metric",
+        ),
+        pytest.param(
+            {"jobs.csv": "name,t1_minutes,s2\nj,0,1.5\n"},
+            ["schedule", "--jobs", "jobs.csv", "--gpus", "2"],
+            2, "error: line 2: t1_minutes must be > 0\n",
+            id="zero-t1",
+        ),
+        pytest.param(
+            {"jobs.csv": "name,t1_minutes,s2\nj,10,-2\n"},
+            ["schedule", "--jobs", "jobs.csv", "--gpus", "2"],
+            2, "error: line 2: s2 must be > 0\n",
+            id="negative-speedup",
+        ),
+        pytest.param(
+            {"jobs.csv": "name,t1_minutes,s4\nj,10,3\n"},
+            ["schedule", "--jobs", "jobs.csv", "--gpus", "2", "--widths", "2"],
+            3, "error: j has no speedup for width 2\n",
+            id="missing-width",
+        ),
+        pytest.param(
+            {"jobs.csv": _ELEVEN_JOBS},
+            ["schedule", "--jobs", "jobs.csv", "--gpus", "2", "--method", "exact"],
+            4, "error: 11 jobs > limit 10\n",
+            id="exact-guard",
+        ),
+        pytest.param(
+            {"jobs.csv": _ELEVEN_JOBS},
+            ["schedule", "--jobs", "jobs.csv", "--gpus", "2", "--method", "permutation"],
+            4, "error: 11 jobs > limit 8 (candidate bound 81749606400)\n",
+            id="permutation-guard",
+        ),
+        pytest.param(
+            {"k.csv": "class,time_ms,calls,unique,flops,transactions\n"},
+            ["roofline", "--kernels", "k.csv"],
+            2, "error: k.csv: no kernel records\n",
+            id="empty-kernels",
+        ),
+        pytest.param(
+            {"m.json": '{"name": "m", "peaks": {"double": 7000}, "mem_bandwidth_gbps": 800}'},
+            ["roofline", "--kernels", KERNELS, "--machine", "m.json"],
+            3, "error: m has no 'single' peak\n",
+            id="no-single-peak",
+        ),
+        pytest.param(
+            {},
+            ["characterize", "--profiles", PROFILES, "--k", "99"],
+            3, "warning: dropped zero-variance metric column(s): nvlink_mbps\n"
+               "error: k must be in [1, 13], got 99\n",
+            id="k-out-of-range",
+        ),
+    ],
+)
+def test_error_contract(tmp_path, monkeypatch, capsys, files, argv, code, stderr):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main([*argv, "--out", "out"]) == code
+    assert capsys.readouterr().err == stderr
+    assert not (tmp_path / "out").exists()

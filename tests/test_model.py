@@ -7,16 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perf_charter as pc
-from perf_charter.errors import (
-    DuplicateJobName,
-    DuplicateWorkloadName,
-    EmptyInput,
-    MalformedRow,
-    NonNumericCell,
-    NonPositiveSpeedup,
-    NonPositiveTime,
-    TooFewWorkloads,
-)
+from perf_charter.errors import MalformedRow, NonNumericCell, ParseError
 
 CSV_TWO = "name,suite,cpu_util_pct,gpu_util_pct\na,MLPerf,1.5,2.5\nb,Other,3.5,4.5\n"
 
@@ -52,9 +43,9 @@ def test_parse_profiles_missing_column_dropped_with_warning():
 
 
 def test_parse_profiles_errors():
-    with pytest.raises(TooFewWorkloads):
+    with pytest.raises(ParseError, match="need at least 2 workloads, got 1"):
         pc.parse_profiles("name,suite,m\nonly,Other,1\n")
-    with pytest.raises(DuplicateWorkloadName):
+    with pytest.raises(MalformedRow, match="^line 3: duplicate workload name 'a'$"):
         pc.parse_profiles("name,suite,m\na,Other,1\na,Other,2\n")
     with pytest.raises(NonNumericCell):
         pc.parse_profiles("name,suite,m\na,Other,oops\nb,Other,1\n")
@@ -108,11 +99,11 @@ def test_parse_jobs_blank_speedups():
 
 
 def test_parse_jobs_errors():
-    with pytest.raises(NonPositiveTime):
+    with pytest.raises(ParseError, match="^line 2: t1_minutes must be > 0$"):
         pc.parse_jobs("name,t1_minutes,s2\nJ,0,1.5\n")
-    with pytest.raises(NonPositiveSpeedup):
+    with pytest.raises(ParseError, match="^line 2: s2 must be > 0$"):
         pc.parse_jobs("name,t1_minutes,s2\nJ,10,-2\n")
-    with pytest.raises(DuplicateJobName):
+    with pytest.raises(MalformedRow, match="^line 3: duplicate job name 'J'$"):
         pc.parse_jobs("name,t1_minutes,s2\nJ,10,1.5\nJ,20,1.5\n")
     with pytest.raises(MalformedRow):
         pc.parse_jobs("name,t1_minutes,s1\nJ,10,2.0\n")  # width-1 speedup must be 1
@@ -155,7 +146,7 @@ def test_kernel_summary_relu(sample_kernels):
 
 
 def test_kernel_summary_empty_and_total():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ParseError, match="kernel_summary needs at least one record"):
         pc.kernel_summary([])
     records = [
         pc.KernelRecord("x", 1.0, 1, 1, 100, 10),

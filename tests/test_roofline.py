@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 import perf_charter as pc
 from perf_charter import roofline
-from perf_charter.errors import (
-    EmptyInput,
-    NonPositiveTime,
-    UnknownPrecision,
-    ZeroTotalTime,
-)
+from perf_charter.errors import AnalysisError, ParseError
 
 
 def _record(name, flops, transactions, time_ms=1.0):
@@ -49,7 +44,7 @@ def test_throughput_mm_4x1_row():
 
 def test_throughput_zero_flops_and_bad_time():
     assert pc.throughput(0, 5.0) == 0.0
-    with pytest.raises(NonPositiveTime):
+    with pytest.raises(ParseError, match="time_s must be > 0, got 0.0"):
         pc.throughput(100, 0.0)
 
 
@@ -65,7 +60,7 @@ def test_attainable_basics(default_machine):
     assert pc.attainable(default_machine, "single", 1.27) == pytest.approx(
         800 * 1.27
     )
-    with pytest.raises(UnknownPrecision):
+    with pytest.raises(AnalysisError, match="has no 'quad' peak"):
         pc.attainable(default_machine, "quad", 1.0)
 
 
@@ -139,9 +134,9 @@ def test_workload_point_zero_flop_record_halves_intensity():
 
 
 def test_workload_point_errors():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ParseError, match="kernel_summary needs at least one record"):
         pc.workload_point([])
-    with pytest.raises(ZeroTotalTime):
+    with pytest.raises(AnalysisError, match="zero total kernel time"):
         pc.workload_point([_record("k", 1, 1, time_ms=0.0)])
 
 
