@@ -8,12 +8,13 @@ File schemas:
 
 Both formats go through one path: ``_read_rows`` turns either into
 ``(line, {field: raw cell})`` rows (CSV cells are stripped strings, blank as
-None; JSON must be a list of objects), and one validator per schema applies
-the same checks to both.  A number is a non-bool int or float, or a string
-that parses to a finite number; a count is a whole number >= 0 that fits a
-float; a name is a non-empty string after stripping; None (a blank CSV cell,
-a JSON null or a missing key) means absent.  Every rejection is a
-``ParseError``.
+None; JSON must be a list of objects).  A parser reads each row's cells and
+builds its record: a number is a non-bool int or float, or a string that
+parses to a finite number; a count is a whole number >= 0 that fits a float;
+a name is a non-empty string after stripping; None (a blank CSV cell, a JSON
+null or a missing key) means absent.  Each record's constructor holds its
+value rules and raises ``ValueError``; the parser adds the line.  Every
+rejection is a ``ParseError``.
 
 Output has one path too: every table, here and in the CLI, goes through
 ``_write_rows`` (CSV quoted as needed with None blank, or JSON objects that
@@ -147,7 +148,9 @@ class KernelRecord:
     def __post_init__(self):
         if self.time_ms < 0:
             raise ValueError(f"{self.class_name}: negative time")
-        if self.flops < 0 or self.transactions < 0:
+        if not math.isfinite(self.time_ms):
+            raise ValueError(f"{self.class_name}: time is not finite")
+        if self.calls < 0 or self.unique_kernels < 0 or self.flops < 0 or self.transactions < 0:
             raise ValueError(f"{self.class_name}: negative counters")
 
 
@@ -161,18 +164,20 @@ class Job:
 
     def __post_init__(self):
         if not self.t1_minutes > 0:
-            raise ParseError(f"{self.name}: t1_minutes must be > 0")
-        if 1 in self.speedup and self.speedup[1] != 1.0:
-            raise ValueError(f"{self.name}: width-1 speedup must be 1.0")
+            raise ValueError("t1_minutes must be > 0")
         for width, value in self.speedup.items():
-            if not (isinstance(width, int) and width >= 1):
-                raise ValueError(f"{self.name}: bad width {width!r}")
+            if not (type(width) is int and width >= 1):
+                raise ValueError(f"bad width {width!r}")
             if not value > 0:
-                raise ParseError(f"{self.name}: speedup at width {width} must be > 0")
-        normalized = {1: 1.0}
-        normalized.update(sorted(self.speedup.items()))
-        normalized[1] = 1.0
-        object.__setattr__(self, "speedup", normalized)
+                raise ValueError(f"s{width} must be > 0")
+            if width == 1 and value != 1.0:
+                raise ValueError("width-1 speedup must be 1.0")
+            runtime = self.t1_minutes / value
+            if not (math.isfinite(runtime) and runtime > 0):
+                raise ValueError(
+                    f"runtime t1_minutes/s{width} = {runtime!r} is not finite and > 0"
+                )
+        object.__setattr__(self, "speedup", dict(sorted({**self.speedup, 1: 1.0}.items())))
 
 
 # --- ingestion: one row reader, shared checks ---------------------------------
@@ -403,8 +408,6 @@ def parse_jobs(text: str, format: str = "csv") -> list[Job]:
             raise MalformedRow(line, f"duplicate job name {name!r}")
         seen.add(name)
         t1 = _number(row.get("t1_minutes"), line, "t1_minutes")
-        if not t1 > 0:
-            raise ParseError(f"line {line}: t1_minutes must be > 0")
         speedup: dict[int, float] = {}
         for key, value in row.items():
             if value is None or key == "name" or key == "t1_minutes":
@@ -412,18 +415,11 @@ def parse_jobs(text: str, format: str = "csv") -> list[Job]:
             width = _width_from_column(key, line)
             if width in speedup:
                 raise MalformedRow(line, f"duplicate speedup column {key!r}")
-            value = _number(value, line, key)
-            if not value > 0:
-                raise ParseError(f"line {line}: {key} must be > 0")
-            if width == 1 and value != 1.0:
-                raise MalformedRow(line, "width-1 speedup must be 1.0")
-            runtime = t1 / value
-            if not (math.isfinite(runtime) and runtime > 0):
-                raise MalformedRow(
-                    line, f"runtime t1_minutes/{key} = {runtime!r} is not finite and > 0"
-                )
-            speedup[width] = value
-        jobs.append(Job(name, t1, speedup))
+            speedup[width] = _number(value, line, key)
+        try:
+            jobs.append(Job(name, t1, speedup))
+        except ValueError as exc:
+            raise MalformedRow(line, str(exc)) from None
     return jobs
 
 

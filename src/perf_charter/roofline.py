@@ -30,11 +30,13 @@ class MachineModel:
     mem_bandwidth_gbps: float
 
     def __post_init__(self):
-        for precision, peak in self.peaks.items():
-            if not peak > 0:
-                raise ValueError(f"peak({precision}) must be > 0")
-        if not self.mem_bandwidth_gbps > 0:
-            raise ValueError("mem_bandwidth_gbps must be > 0")
+        rates = {f"peak({p})": peak for p, peak in self.peaks.items()}
+        rates["mem_bandwidth_gbps"] = self.mem_bandwidth_gbps
+        for what, rate in rates.items():
+            if not rate > 0:
+                raise ValueError(f"{what} must be > 0")
+            if rate == math.inf:
+                raise ValueError(f"{what} must be finite")
         ladder = [self.peaks.get(p) for p in ("double", "single", "half")]
         known = [p for p in ladder if p is not None]
         if known != sorted(known):

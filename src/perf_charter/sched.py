@@ -45,6 +45,8 @@ _CANDIDATE_CAP = 100_000_000
 # margin
 _BOUND_MARGIN = 1.0 + 1e-9
 
+_EXACT_LIMIT = 10  # exact_schedule's job-count guard
+
 _END_OVERFLOW = "a job's end time overflows a float"
 
 
@@ -138,15 +140,9 @@ def _placed(rows: list[tuple[str, int, float, float]], gpu_count: int) -> Schedu
 
 
 def naive_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
-    """Baseline: each job takes the whole width menu's maximum, sequentially."""
+    """Baseline: each job at the widest width, in turn (the list schedule on wmax GPUs)."""
     wmax = cluster.max_width
-    rows = []
-    t = 0.0
-    for job in jobs:
-        rt = runtime(job, wmax)
-        rows.append((job.name, wmax, t, t + rt))
-        t += rt
-    return _placed(rows, cluster.gpu_count)
+    return list_schedule(jobs, {job.name: wmax for job in jobs}, ClusterSpec(wmax, (wmax,)))
 
 
 def list_schedule(
@@ -314,7 +310,7 @@ def permutation_search(
     return schedule, len(combos) * len(perms)
 
 
-def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Schedule:
+def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     """Provably minimal makespan via branch-and-bound.
 
     Branches over (job, width) in chronological order of start: each goes at
@@ -336,8 +332,8 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec, limit: int = 10) -> Sc
     the seed if nothing beats it.
     """
     n = len(jobs)
-    if n > limit:
-        raise SearchSpaceTooLarge(n, f"{n} jobs > limit {limit}")
+    if n > _EXACT_LIMIT:
+        raise SearchSpaceTooLarge(n, f"{n} jobs > limit {_EXACT_LIMIT}")
     if n == 0:
         return Schedule((), 0.0)
     p_total = cluster.gpu_count

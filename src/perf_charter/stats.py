@@ -169,7 +169,6 @@ def fit_pca(matrix: MetricMatrix) -> PcaModel:
         raise AnalysisError("no metric column with nonzero variance")
     n = z.shape[0]
     cov = z.T @ z / (n - 1)
-    cov = (cov + cov.T) * 0.5
     eigenvalues, eigenvectors = jacobi_eigen(cov)
     if eigenvalues.min() < -1e-9:
         raise AnalysisError(

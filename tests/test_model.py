@@ -111,6 +111,53 @@ def test_parse_jobs_errors():
         pc.parse_jobs("name,t1_minutes,speedup\nJ,10,2.0\n")  # bad column name
 
 
+# edge values around the runtime rule t1/s in (0, inf), plus ordinary ones
+JOB_VALUES = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-300, 1e-10, 1e300, 1e308, 1.0]),
+    st.floats(0.25, 1024.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JOB_VALUES, st.dictionaries(st.sampled_from([1, 2, 4, 8]), JOB_VALUES, max_size=3))
+def test_parse_jobs_refuses_exactly_what_job_refuses(t1, speedup):
+    header = ",".join(["name", "t1_minutes", *[f"s{w}" for w in speedup]])
+    row = ",".join(["J", repr(t1), *[repr(v) for v in speedup.values()]])
+    text = f"{header}\n{row}\n"
+    try:
+        job = pc.Job("J", t1, speedup)
+    except ValueError as exc:
+        with pytest.raises(MalformedRow) as caught:
+            pc.parse_jobs(text)
+        assert str(caught.value) == f"line 2: {exc}"
+    else:
+        assert pc.parse_jobs(text) == [job]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: pc.Job("a", 1e-300, {2: 1e300}),
+     "runtime t1_minutes/s2 = 0.0 is not finite and > 0"),
+    (lambda: pc.Job("a", 1e308, {2: 1e-10}),
+     "runtime t1_minutes/s2 = inf is not finite and > 0"),
+    (lambda: pc.Job("a", 0.0, {2: 1.5}), "t1_minutes must be > 0"),
+    (lambda: pc.Job("a", 10.0, {2: -2.0}), "s2 must be > 0"),
+    (lambda: pc.Job("a", 10.0, {1: 2.0}), "width-1 speedup must be 1.0"),
+    (lambda: pc.KernelRecord("k", 1.0, -1, -1, 1, 1), "k: negative counters"),
+    (lambda: pc.KernelRecord("k", 1.0, -1, 1, 1, 1), "k: negative counters"),
+    (lambda: pc.KernelRecord("k", 1.0, 1, -1, 1, 1), "k: negative counters"),
+    (lambda: pc.KernelRecord("k", math.inf, 1, 1, 1, 1), "k: time is not finite"),
+    (lambda: pc.KernelRecord("k", math.nan, 1, 1, 1, 1), "k: time is not finite"),
+], ids=[
+    "job-runtime-underflow", "job-runtime-overflow", "job-zero-t1", "job-negative-speedup",
+    "job-width-1", "kernel-negative-calls-and-unique", "kernel-negative-calls",
+    "kernel-negative-unique", "kernel-inf-time", "kernel-nan-time",
+])
+def test_records_refuse_what_the_parsers_refuse(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 def test_jobs_round_trip(sample_jobs):
     for fmt in ("csv", "json"):
         assert pc.parse_jobs(pc.serialize_jobs(sample_jobs, fmt), fmt) == sample_jobs

@@ -116,6 +116,18 @@ def test_machine_orders_peaks():
         pc.MachineModel("bad", {"single": -1.0}, 10.0)
 
 
+@pytest.mark.parametrize("peaks, bandwidth, message", [
+    ({"single": math.inf}, 900.0, "peak(single) must be finite"),
+    ({"single": 15_700.0}, math.inf, "mem_bandwidth_gbps must be finite"),
+    ({"single": 0.0}, 900.0, "peak(single) must be > 0"),
+    ({"single": 15_700.0}, -1.0, "mem_bandwidth_gbps must be > 0"),
+], ids=["inf-peak", "inf-bandwidth", "zero-peak", "negative-bandwidth"])
+def test_machine_refuses_what_machine_from_dict_refuses(peaks, bandwidth, message):
+    with pytest.raises(ValueError) as caught:
+        pc.MachineModel("m", peaks, bandwidth)
+    assert str(caught.value) == message
+
+
 # --- workload points -------------------------------------------------------------
 
 def test_workload_point_single_record_matches_per_record():
