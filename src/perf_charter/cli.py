@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import math
 import os
@@ -250,7 +249,7 @@ def cmd_schedule(args) -> tuple[dict[str, str], Iterable[str]]:
         "schedule.json": _dump_json(
             {
                 "gpu_count": cluster_spec.gpu_count,
-                "placements": [dataclasses.asdict(p) for p in best.placements],
+                "placements": [p._asdict() for p in best.placements],
                 "makespan_min": best.makespan,
                 "method": args.method,
             }

@@ -21,7 +21,6 @@ pairs in the same row-major order as a 2-D ``np.nonzero``, which costs about
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,14 +38,12 @@ class Merge(NamedTuple):
     size: int
 
 
-@dataclass(frozen=True)
-class Dendrogram:
+class Dendrogram(NamedTuple):
     leaves: list[str]
     merges: list[Merge]
 
 
-@dataclass(frozen=True)
-class SubsetReport:
+class SubsetReport(NamedTuple):
     selected: list[str]
     coverage: dict[str, tuple[float, float]]   # metric -> (low %, high %)
     degenerate: list[str]                      # constant metrics flagged (0, 100)

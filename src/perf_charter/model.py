@@ -12,9 +12,13 @@ None; JSON must be a list of objects).  A parser reads each row's cells and
 builds its record: a number is a non-bool int or float, or a string that
 parses to a finite number; a count is a whole number >= 0 that fits a float;
 a name is a non-empty string after stripping; None (a blank CSV cell, a JSON
-null or a missing key) means absent.  Each record's constructor holds its
-value rules and raises ``ValueError``; the parser adds the line.  Every
-rejection is a ``ParseError``.
+null or a missing key) means absent.  Each record's constructor
+(``__new__``) holds its value rules and raises ``ValueError``; the parser
+adds the line.  Every rejection is a ``ParseError``.
+
+The records are ``NamedTuple``s.  One with value rules subclasses its field
+tuple to add that ``__new__``, and ``_checked_make`` sends its ``_make``,
+and so ``_replace``, through it.
 
 Output has one path too: every table, here and in the CLI, goes through
 ``_write_rows`` (CSV quoted as needed with None blank, or JSON objects that
@@ -35,8 +39,7 @@ import math
 import sys
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import MalformedRow, NonNumericCell, ParseError
 
@@ -82,38 +85,45 @@ class Suite(str, enum.Enum):
         return cls.OTHER
 
 
-@dataclass(frozen=True)
-class WorkloadProfile:
-    """One benchmark's named metric vector (units vary per metric name)."""
+def _checked_make(cls, iterable):
+    """``_make`` through the constructor, so ``_replace`` checks values too."""
+    return cls(*iterable)
 
+
+class _WorkloadProfileFields(NamedTuple):
     name: str
     suite: Suite
     metrics: dict[str, float]
 
-    def __post_init__(self):
-        for metric, value in self.metrics.items():
+
+class WorkloadProfile(_WorkloadProfileFields):
+    """One benchmark's named metric vector (units vary per metric name)."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, name: str, suite: Suite, metrics: dict[str, float]):
+        for metric, value in metrics.items():
             if not math.isfinite(value):
-                raise ValueError(f"{self.name}: metric {metric!r} is not finite")
+                raise ValueError(f"{name}: metric {metric!r} is not finite")
             if value < 0:
-                raise ValueError(f"{self.name}: metric {metric!r} is negative")
+                raise ValueError(f"{name}: metric {metric!r} is negative")
+        return tuple.__new__(cls, (name, suite, metrics))
 
 
-@dataclass
 class MetricMatrix:
     """Row-per-workload, column-per-metric matrix with no missing cells."""
 
-    workload_names: list[str]
-    metric_names: list[str]
-    values: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, workload_names: list[str], metric_names: list[str], values: np.ndarray):
         import numpy as np
 
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (len(self.workload_names), len(self.metric_names)):
+        self.workload_names = workload_names
+        self.metric_names = metric_names
+        self.values = np.asarray(values, dtype=np.float64)
+        if self.values.shape != (len(workload_names), len(metric_names)):
             raise ValueError(
                 f"values shape {self.values.shape} does not match "
-                f"{len(self.workload_names)} workloads x {len(self.metric_names)} metrics"
+                f"{len(workload_names)} workloads x {len(metric_names)} metrics"
             )
 
     def __eq__(self, other):
@@ -134,10 +144,7 @@ class MetricMatrix:
         return self.values[:, self.metric_names.index(metric)]
 
 
-@dataclass(frozen=True)
-class KernelRecord:
-    """Aggregated profiler statistics for one kernel class."""
-
+class _KernelRecordFields(NamedTuple):
     class_name: str
     time_ms: float
     calls: int
@@ -145,39 +152,58 @@ class KernelRecord:
     flops: int
     transactions: int
 
-    def __post_init__(self):
-        if self.time_ms < 0:
-            raise ValueError(f"{self.class_name}: negative time")
-        if not math.isfinite(self.time_ms):
-            raise ValueError(f"{self.class_name}: time is not finite")
-        if self.calls < 0 or self.unique_kernels < 0 or self.flops < 0 or self.transactions < 0:
-            raise ValueError(f"{self.class_name}: negative counters")
+
+class KernelRecord(_KernelRecordFields):
+    """Aggregated profiler statistics for one kernel class."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, class_name: str, time_ms: float, calls: int, unique_kernels: int,
+                flops: int, transactions: int):
+        if time_ms < 0:
+            raise ValueError(f"{class_name}: negative time")
+        if not math.isfinite(time_ms):
+            raise ValueError(f"{class_name}: time is not finite")
+        if calls < 0 or unique_kernels < 0 or flops < 0 or transactions < 0:
+            raise ValueError(f"{class_name}: negative counters")
+        return tuple.__new__(
+            cls, (class_name, time_ms, calls, unique_kernels, flops, transactions)
+        )
 
 
-@dataclass(frozen=True)
-class Job:
-    """Moldable training job: single-device minutes plus speedup per width."""
-
+class _JobFields(NamedTuple):
     name: str
     t1_minutes: float
     speedup: dict[int, float]
 
-    def __post_init__(self):
-        if not self.t1_minutes > 0:
+
+class Job(_JobFields):
+    """Moldable training job: single-device minutes plus speedup per width.
+
+    ``speedup`` is normalised to ascending widths with width 1 at 1.0.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, name: str, t1_minutes: float, speedup: dict[int, float]):
+        if not t1_minutes > 0:
             raise ValueError("t1_minutes must be > 0")
-        for width, value in self.speedup.items():
+        for width, value in speedup.items():
             if not (type(width) is int and width >= 1):
                 raise ValueError(f"bad width {width!r}")
             if not value > 0:
                 raise ValueError(f"s{width} must be > 0")
             if width == 1 and value != 1.0:
                 raise ValueError("width-1 speedup must be 1.0")
-            runtime = self.t1_minutes / value
+            runtime = t1_minutes / value
             if not (math.isfinite(runtime) and runtime > 0):
                 raise ValueError(
                     f"runtime t1_minutes/s{width} = {runtime!r} is not finite and > 0"
                 )
-        object.__setattr__(self, "speedup", dict(sorted({**self.speedup, 1: 1.0}.items())))
+        speedup = dict(sorted({**speedup, 1: 1.0}.items()))
+        return tuple.__new__(cls, (name, t1_minutes, speedup))
 
 
 # --- ingestion: one row reader, shared checks ---------------------------------

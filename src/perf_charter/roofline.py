@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import AnalysisError, MalformedRow, ParseError
-from .model import KernelRecord, _load_json, _name, _number, kernel_summary
+from .model import KernelRecord, _checked_make, _load_json, _name, _number, kernel_summary
 
 MEMORY_BOUND = "memory_bound"
 COMPUTE_BOUND = "compute_bound"
@@ -23,27 +22,32 @@ AT_RIDGE = "at_ridge"
 DEFAULT_TRANSACTION_BYTES = 32
 
 
-@dataclass(frozen=True)
-class MachineModel:
+class _MachineModelFields(NamedTuple):
     name: str
     peaks: dict[str, float]            # precision -> GFLOP/s
     mem_bandwidth_gbps: float
 
-    def __post_init__(self):
-        rates = {f"peak({p})": peak for p, peak in self.peaks.items()}
-        rates["mem_bandwidth_gbps"] = self.mem_bandwidth_gbps
+
+class MachineModel(_MachineModelFields):
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, name: str, peaks: dict[str, float], mem_bandwidth_gbps: float):
+        rates = {f"peak({p})": peak for p, peak in peaks.items()}
+        rates["mem_bandwidth_gbps"] = mem_bandwidth_gbps
         for what, rate in rates.items():
             if not rate > 0:
                 raise ValueError(f"{what} must be > 0")
             if rate == math.inf:
                 raise ValueError(f"{what} must be finite")
-        ladder = [self.peaks.get(p) for p in ("double", "single", "half")]
+        ladder = [peaks.get(p) for p in ("double", "single", "half")]
         known = [p for p in ladder if p is not None]
         if known != sorted(known):
             warnings.warn(
-                f"{self.name}: expected peak(half) >= peak(single) >= peak(double)",
+                f"{name}: expected peak(half) >= peak(single) >= peak(double)",
                 stacklevel=2,
             )
+        return tuple.__new__(cls, (name, peaks, mem_bandwidth_gbps))
 
     def ridge(self, precision: str) -> float:
         return self.peak(precision) / self.mem_bandwidth_gbps

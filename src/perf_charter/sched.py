@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import AnalysisError, SearchSpaceTooLarge
-from .model import Job
+from .model import Job, _checked_make
 
 
 # hard ceiling on width-vector x permutation candidates, independent of the
@@ -59,33 +58,38 @@ def _powers_of_two_upto(p: int) -> tuple[int, ...]:
     return tuple(widths)
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """P identical GPUs and the width menu jobs may be launched at."""
-
+class _ClusterSpecFields(NamedTuple):
     gpu_count: int
     allowed_widths: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.gpu_count, int) and self.gpu_count >= 1):
-            raise ValueError(f"gpu_count must be a positive int, got {self.gpu_count!r}")
-        widths = self.allowed_widths or _powers_of_two_upto(self.gpu_count)
+
+class ClusterSpec(_ClusterSpecFields):
+    """P identical GPUs and the width menu jobs may be launched at.
+
+    ``allowed_widths`` is normalised to ascending distinct widths with 1;
+    empty means the powers of two up to ``gpu_count``.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, gpu_count: int, allowed_widths: tuple[int, ...] = ()):
+        if not (isinstance(gpu_count, int) and gpu_count >= 1):
+            raise ValueError(f"gpu_count must be a positive int, got {gpu_count!r}")
+        widths = allowed_widths or _powers_of_two_upto(gpu_count)
         widths = sorted(set(int(w) for w in widths) | {1})
         if widths[0] < 1:
             raise ValueError("widths must be >= 1")
-        if widths[-1] > self.gpu_count:
-            raise ValueError(
-                f"width {widths[-1]} exceeds gpu_count {self.gpu_count}"
-            )
-        object.__setattr__(self, "allowed_widths", tuple(widths))
+        if widths[-1] > gpu_count:
+            raise ValueError(f"width {widths[-1]} exceeds gpu_count {gpu_count}")
+        return tuple.__new__(cls, (gpu_count, tuple(widths)))
 
     @property
     def max_width(self) -> int:
         return self.allowed_widths[-1]
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     job: str
     width: int
     gpu_ids: tuple[int, ...]
@@ -93,8 +97,7 @@ class Placement:
     end: float
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     placements: tuple[Placement, ...]
     makespan: float
 
@@ -324,10 +327,12 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     work committed after its start plus the remaining jobs' least area fits
     on P GPUs before the incumbent; and, deadline-aware, each remaining job
     has a width that ends before it, and their least such areas fit too.
-    The all-jobs area bound and the longest-job bound are checked only at
-    the root: below it, the first child bound is that area bound taken at
-    the child's start, and a job that cannot end in time makes the second
-    one infinite.  The search is seeded with the heuristic schedule; among
+    That deadline data is computed per candidate start on first use, with
+    the incumbent current at that moment, and reused by the node's later
+    children at that start.  The all-jobs area bound and the longest-job
+    bound are checked only at the root: below it, the first child bound is
+    that area bound taken at the child's start, and a job that cannot end
+    in time makes the second one infinite.  The search is seeded with the heuristic schedule; among
     equal optima it returns the first strict improvement in search order, or
     the seed if nothing beats it.
     """
@@ -369,6 +374,26 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     # branch longest jobs first: good schedules appear early, tight pruning
     branch_order = sorted(range(n), key=lambda j: (-min_rt[j], j))
 
+    def deadline_data(s: float) -> tuple[float, list[float]]:
+        """``(need, least)`` at start ``s`` for the jobs in ``remaining``.
+
+        ``least[k]`` is job k's least area among the widths that end before
+        the current incumbent when started at ``s`` (infinite if none does),
+        and ``need`` is their sum.
+        """
+        least = [0.0] * n
+        need = 0.0
+        for k in remaining:
+            least_k = math.inf
+            for rt, _, k_area in branches[k]:
+                if s + rt >= best_m:
+                    break
+                if k_area < least_k:
+                    least_k = k_area
+            least[k] = least_k
+            need += least_k
+        return need, least
+
     def dfs(cur_m: float, last_s: float, last_j: int, rem_area: float, live: list):
         nonlocal best_m, best_pl
         if not remaining:
@@ -376,11 +401,12 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
                 best_m = cur_m
                 best_pl = placed.copy()
             return
-        # per candidate start s: GPUs busy at s, work committed beyond s, and
-        # each remaining job's least area among the widths that end before
-        # best_m when started at s (infinite if none does).  Every placed job
-        # starts at or before last_s <= s, so usage only falls after s: a job
-        # fits if it fits at its start instant.
+        # per candidate start s: GPUs busy at s and work committed beyond s.
+        # Every placed job starts at or before last_s <= s, so usage only
+        # falls after s: a job fits if it fits at its start instant.  The
+        # slot's deadline data is filled in when a child first reaches the
+        # deadline-aware bound there (``deadline_data``), then kept for the
+        # node's later children.
         slots = []
         for s in sorted({last_s, *(pe for _, pe in live)}):
             busy = 0
@@ -389,18 +415,7 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
                 if pe > s:
                     busy += pw
                     overhang += pw * (pe - s)
-            least = [0.0] * n
-            need = 0.0
-            for k in remaining:
-                least_k = math.inf
-                for rt, _, k_area in branches[k]:
-                    if s + rt >= best_m:
-                        break
-                    if k_area < least_k:
-                        least_k = k_area
-                least[k] = least_k
-                need += least_k
-            slots.append((s, busy, overhang, need, least))
+            slots.append([s, busy, overhang, None])
         for j in branch_order:
             if j not in remaining or prev_twin[j] in remaining:
                 continue
@@ -413,7 +428,7 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
                 for slot in slots:
                     if slot[1] + w <= p_total:
                         break
-                s, busy, overhang, need, least = slot
+                s, _, overhang, deadline = slot
                 if s == last_s and j < last_j:
                     continue  # reached with j placed before last_j instead
                 e = s + rt
@@ -426,7 +441,11 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
                 # rounding: one schedule can reach makespans a last bit
                 # apart by different paths, and this bound must not
                 # decide which of them is found first.  least[j] is
-                # finite here, as this width ends in time.
+                # finite here: this width ends before best_m, which is
+                # at most the incumbent the slot's data was built with.
+                if deadline is None:
+                    deadline = slot[3] = deadline_data(s)
+                need, least = deadline
                 if overhang + j_area + (need - least[j]) >= p_total * (
                     best_m * _BOUND_MARGIN - s
                 ):

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -25,16 +24,14 @@ _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
 
 
-@dataclass(frozen=True)
-class Standardization:
+class Standardization(NamedTuple):
     """Per-column z-score parameters (sample std, divisor n-1)."""
 
     means: np.ndarray
     stds: np.ndarray
 
 
-@dataclass(frozen=True)
-class PcaModel:
+class PcaModel(NamedTuple):
     standardization: Standardization
     metric_names: list[str]
     workload_names: list[str]

@@ -7,9 +7,7 @@ embedded, so identical inputs yield byte-identical files.
 
 from __future__ import annotations
 
-import html
 import math
-from functools import partial
 from typing import TYPE_CHECKING
 
 from .roofline import MachineModel, RooflinePoint
@@ -18,10 +16,16 @@ from .sched import Schedule
 if TYPE_CHECKING:
     from .cluster import Dendrogram
 
-# ``&``, ``<`` and ``>`` as entities, ``&`` first; quotes stay as they are
-# (the same text as ``xml.sax.saxutils.escape``, whose import pulls in
-# ``urllib.request``).
-escape = partial(html.escape, quote=False)
+
+def escape(s: str) -> str:
+    """``&``, ``<`` and ``>`` as entities, ``&`` first; quotes stay as they are.
+
+    The same text as ``html.escape(s, quote=False)`` and
+    ``xml.sax.saxutils.escape``, without importing either (``html`` loads
+    ``html.entities``, ``xml.sax`` loads ``urllib.request``).
+    """
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
 
 PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",

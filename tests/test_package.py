@@ -1,12 +1,17 @@
 """The package surface and what each command imports at start-up.
 
 ``schedule`` and ``roofline`` must not import numpy (only ``cluster`` and
-``stats`` use it) nor ``urllib.request`` (which ``xml.sax`` pulls in), so
-each runs in a fresh interpreter here and reports ``sys.modules``.
+``stats`` use it), ``urllib.request`` (which ``xml.sax`` pulls in),
+``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``) nor
+``html``, so each runs in a fresh interpreter here and reports
+``sys.modules``.  The records are ``NamedTuple``s that keep the repr and
+immutability of the dataclasses they replaced, and whose ``_make`` and
+``_replace`` check values as the constructor does.
 """
 
 import importlib
 import json
+import re
 import subprocess
 import sys
 
@@ -48,7 +53,7 @@ EXPORTS = {
         "stats",
     ),
 }
-HEAVY = ("numpy", "urllib.request", "xml.sax")
+HEAVY = ("numpy", "urllib.request", "xml.sax", "dataclasses", "inspect", "html")
 
 
 def _fresh(code: str) -> subprocess.CompletedProcess:
@@ -135,4 +140,65 @@ def test_characterize_still_runs(tmp_path):
     code, heavy = _heavy_after(_main_body(argv))
     assert code == 0
     assert "numpy" in heavy
+    assert "dataclasses" not in heavy
     assert (tmp_path / "dendrogram.svg").is_file()
+
+
+# each record, its repr as a dataclass gave it, and a field to set
+RECORDS = [
+    (pc.Job("a", 10.0, {2: 1.5}),
+     "Job(name='a', t1_minutes=10.0, speedup={1: 1.0, 2: 1.5})", "t1_minutes"),
+    (pc.KernelRecord("gemm", 1.5, 3, 1, 100, 7),
+     "KernelRecord(class_name='gemm', time_ms=1.5, calls=3, unique_kernels=1, flops=100, "
+     "transactions=7)", "time_ms"),
+    (pc.ClusterSpec(8, (8, 2)), "ClusterSpec(gpu_count=8, allowed_widths=(1, 2, 8))",
+     "gpu_count"),
+    (pc.Placement("a", 2, (0, 1), 0.0, 5.0),
+     "Placement(job='a', width=2, gpu_ids=(0, 1), start=0.0, end=5.0)", "start"),
+    (pc.MachineModel("v100", {"single": 15700.0, "half": 125000.0}, 900.0),
+     "MachineModel(name='v100', peaks={'single': 15700.0, 'half': 125000.0}, "
+     "mem_bandwidth_gbps=900.0)", "mem_bandwidth_gbps"),
+]
+
+
+@pytest.mark.parametrize("record, text, field", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS])
+def test_record_repr_and_immutability(record, text, field):
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, field, 1.0)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_placement_asdict_keeps_the_schedule_json_key_order():
+    placement = pc.Placement("a", 2, (0, 1), 0.0, 5.0)
+    assert list(placement._asdict()) == ["job", "width", "gpu_ids", "start", "end"]
+
+
+# each validating record, a bad value for one field, and the constructor's message
+BAD_REPLACEMENTS = [
+    (pc.Job("a", 10.0, {2: 1.5}), {"t1_minutes": -1.0}, "t1_minutes must be > 0"),
+    (pc.KernelRecord("k", 1.0, 1, 1, 1, 1), {"time_ms": -1.0}, "k: negative time"),
+    (pc.WorkloadProfile("w", pc.Suite.MLPERF, {"x": 1.0}), {"metrics": {"x": -1.0}},
+     "w: metric 'x' is negative"),
+    (pc.ClusterSpec(4), {"gpu_count": 0}, "gpu_count must be a positive int, got 0"),
+    (pc.MachineModel("m", {"single": 1.0}, 1.0), {"mem_bandwidth_gbps": 0.0},
+     "mem_bandwidth_gbps must be > 0"),
+]
+
+
+@pytest.mark.parametrize("record, change, message", BAD_REPLACEMENTS,
+                         ids=[type(r[0]).__name__ for r in BAD_REPLACEMENTS])
+def test_replace_and_make_check_values_like_the_constructor(record, change, message):
+    with pytest.raises(ValueError) as constructed:
+        type(record)(**{**record._asdict(), **change})
+    assert str(constructed.value) == message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        record._replace(**change)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        type(record)._make({**record._asdict(), **change}.values())
+
+
+def test_replace_normalises_like_the_constructor():
+    assert pc.Job("a", 10.0, {4: 2.0})._replace(speedup={2: 1.5}).speedup == {1: 1.0, 2: 1.5}
+    assert pc.ClusterSpec(4)._replace(allowed_widths=(4,)).allowed_widths == (1, 4)

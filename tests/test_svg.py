@@ -1,3 +1,4 @@
+import html
 import warnings
 
 import numpy as np
@@ -94,3 +95,9 @@ def test_svg_escape_matches_xml_sax(text):
     from xml.sax.saxutils import escape as sax_escape
 
     assert svg.escape(text) == sax_escape(text)
+
+
+@given(st.text())
+@example("<a href=\"x\">&amp; 'q' &lt;</a>")
+def test_escape_matches_html_escape_without_quotes(text):
+    assert svg.escape(text) == html.escape(text, quote=False)
