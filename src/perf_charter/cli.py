@@ -125,22 +125,11 @@ def cmd_characterize(args) -> tuple[dict[str, str], Iterable[str]]:
 
     files = {
         "pca.json": _dump_json(stats.pca_to_dict(pca)),
-        "dendrogram.json": _dump_json(
-            {
-                "leaves": dendrogram.leaves,
-                "merges": [[m.left, m.right, m.height, m.size] for m in dendrogram.merges],
-            }
-        ),
+        "dendrogram.json": _dump_json(dendrogram._asdict()),
         "dendrogram.svg": svg.dendrogram_svg(
             dendrogram, threshold if math.isfinite(threshold) else None
         ),
-        "subset_report.json": _dump_json(
-            {
-                "selected": report.selected,
-                "coverage": {m: list(v) for m, v in report.coverage.items()},
-                "degenerate": report.degenerate,
-            }
-        ),
+        "subset_report.json": _dump_json(report._asdict()),
     }
     if pca.projections.shape[1] >= 2:
         suites = {p.name: p.suite.value for p in profiles}

@@ -16,9 +16,11 @@ null or a missing key) means absent.  Each record's constructor
 (``__new__``) holds its value rules and raises ``ValueError``; the parser
 adds the line.  Every rejection is a ``ParseError``.
 
-The records are ``NamedTuple``s.  One with value rules subclasses its field
-tuple to add that ``__new__``, and ``_checked_make`` sends its ``_make``,
-and so ``_replace``, through it.
+The records are ``NamedTuple``s.  One with value rules subclasses the
+functional form ``NamedTuple(name, fields)``, as the class syntax may not
+define ``__new__``, and ``_checked_make`` sends its ``_make``, and so
+``_replace``, through that ``__new__``.  A dict field is the record's own
+copy.
 
 Output has one path too: every table, here and in the CLI, goes through
 ``_write_rows`` (CSV quoted as needed with None blank, or JSON objects that
@@ -90,13 +92,9 @@ def _checked_make(cls, iterable):
     return cls(*iterable)
 
 
-class _WorkloadProfileFields(NamedTuple):
-    name: str
-    suite: Suite
-    metrics: dict[str, float]
-
-
-class WorkloadProfile(_WorkloadProfileFields):
+class WorkloadProfile(NamedTuple(
+    "WorkloadProfile", [("name", str), ("suite", Suite), ("metrics", dict[str, float])]
+)):
     """One benchmark's named metric vector (units vary per metric name)."""
 
     __slots__ = ()
@@ -108,7 +106,7 @@ class WorkloadProfile(_WorkloadProfileFields):
                 raise ValueError(f"{name}: metric {metric!r} is not finite")
             if value < 0:
                 raise ValueError(f"{name}: metric {metric!r} is negative")
-        return tuple.__new__(cls, (name, suite, metrics))
+        return tuple.__new__(cls, (name, suite, dict(metrics)))
 
 
 class MetricMatrix:
@@ -144,16 +142,10 @@ class MetricMatrix:
         return self.values[:, self.metric_names.index(metric)]
 
 
-class _KernelRecordFields(NamedTuple):
-    class_name: str
-    time_ms: float
-    calls: int
-    unique_kernels: int
-    flops: int
-    transactions: int
-
-
-class KernelRecord(_KernelRecordFields):
+class KernelRecord(NamedTuple("KernelRecord", [
+    ("class_name", str), ("time_ms", float), ("calls", int), ("unique_kernels", int),
+    ("flops", int), ("transactions", int),
+])):
     """Aggregated profiler statistics for one kernel class."""
 
     __slots__ = ()
@@ -172,13 +164,7 @@ class KernelRecord(_KernelRecordFields):
         )
 
 
-class _JobFields(NamedTuple):
-    name: str
-    t1_minutes: float
-    speedup: dict[int, float]
-
-
-class Job(_JobFields):
+class Job(NamedTuple("Job", [("name", str), ("t1_minutes", float), ("speedup", dict[int, float])])):
     """Moldable training job: single-device minutes plus speedup per width.
 
     ``speedup`` is normalised to ascending widths with width 1 at 1.0.
@@ -501,8 +487,11 @@ def serialize_kernels(records: list[KernelRecord], format: str = "csv") -> str:
     return _write_rows(_KERNEL_FIELDS, rows, format)
 
 
+DEFAULT_TRANSACTION_BYTES = 32
+
+
 def kernel_summary(
-    records: list[KernelRecord], transaction_bytes: int = 32
+    records: list[KernelRecord], transaction_bytes: int = DEFAULT_TRANSACTION_BYTES
 ) -> tuple[int, int, float]:
     """Totals over kernel classes: (flops, bytes, seconds).
 

@@ -13,22 +13,19 @@ import warnings
 from typing import NamedTuple, Sequence
 
 from .errors import AnalysisError, MalformedRow, ParseError
-from .model import KernelRecord, _checked_make, _load_json, _name, _number, kernel_summary
+from .model import (DEFAULT_TRANSACTION_BYTES, KernelRecord, _checked_make, _load_json, _name,
+                    _number, kernel_summary)
 
 MEMORY_BOUND = "memory_bound"
 COMPUTE_BOUND = "compute_bound"
 AT_RIDGE = "at_ridge"
 
-DEFAULT_TRANSACTION_BYTES = 32
 
+class MachineModel(NamedTuple("MachineModel", [
+    ("name", str), ("peaks", dict[str, float]), ("mem_bandwidth_gbps", float),
+])):
+    """Machine ceilings; ``peaks`` maps precision -> GFLOP/s."""
 
-class _MachineModelFields(NamedTuple):
-    name: str
-    peaks: dict[str, float]            # precision -> GFLOP/s
-    mem_bandwidth_gbps: float
-
-
-class MachineModel(_MachineModelFields):
     __slots__ = ()
     _make = classmethod(_checked_make)
 
@@ -47,7 +44,7 @@ class MachineModel(_MachineModelFields):
                 f"{name}: expected peak(half) >= peak(single) >= peak(double)",
                 stacklevel=2,
             )
-        return tuple.__new__(cls, (name, peaks, mem_bandwidth_gbps))
+        return tuple.__new__(cls, (name, dict(peaks), mem_bandwidth_gbps))
 
     def ridge(self, precision: str) -> float:
         return self.peak(precision) / self.mem_bandwidth_gbps

@@ -46,8 +46,6 @@ _BOUND_MARGIN = 1.0 + 1e-9
 
 _EXACT_LIMIT = 10  # exact_schedule's job-count guard
 
-_END_OVERFLOW = "a job's end time overflows a float"
-
 
 def _powers_of_two_upto(p: int) -> tuple[int, ...]:
     widths = []
@@ -58,12 +56,9 @@ def _powers_of_two_upto(p: int) -> tuple[int, ...]:
     return tuple(widths)
 
 
-class _ClusterSpecFields(NamedTuple):
-    gpu_count: int
-    allowed_widths: tuple[int, ...] = ()
-
-
-class ClusterSpec(_ClusterSpecFields):
+class ClusterSpec(NamedTuple(
+    "ClusterSpec", [("gpu_count", int), ("allowed_widths", tuple[int, ...])]
+)):
     """P identical GPUs and the width menu jobs may be launched at.
 
     ``allowed_widths`` is normalised to ascending distinct widths with 1;
@@ -128,12 +123,11 @@ def _placed(rows: list[tuple[str, int, float, float]], gpu_count: int) -> Schedu
     """The schedule of ``(job, width, start, end)`` rows given in start order.
 
     Each row takes the lowest-numbered GPUs that no earlier row holds over
-    its interval; the makespan is the latest end, which must be finite.
+    its interval; the makespan is the latest end.  Every caller passes finite
+    ends.
     """
     placements: list[Placement] = []
     for job, w, s, e in rows:
-        if e == math.inf:
-            raise AnalysisError(_END_OVERFLOW)
         used = {g for p in placements if p.start < e and s < p.end for g in p.gpu_ids}
         ids = tuple(g for g in range(gpu_count) if g not in used)[:w]
         if len(ids) < w:
@@ -171,7 +165,7 @@ def list_schedule(
     _simulate_list(range(len(jobs)), ws, rts, cluster.gpu_count, math.inf, started)
     if len(started) < len(jobs):
         # the simulation stopped at an end that overflowed to inf
-        raise AnalysisError(_END_OVERFLOW)
+        raise AnalysisError("a job's end time overflows a float")
     rows = [(jobs[j].name, w, s, e) for e, w, j, s in started]
     return _placed(rows, cluster.gpu_count)
 

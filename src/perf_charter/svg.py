@@ -53,11 +53,11 @@ def _header(width: int, height: int, title: str) -> list[str]:
     ]
 
 
-def _line(x1, y1, x2, y2, color="#333", width=1.0, dash="") -> str:
+def _line(x1, y1, x2, y2, color="#333", dash="") -> str:
     d = f' stroke-dasharray="{dash}"' if dash else ""
     return (
         f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
-        f'stroke="{color}" stroke-width="{width}"{d}/>'
+        f'stroke="{color}" stroke-width="1.0"{d}/>'
     )
 
 

@@ -14,6 +14,7 @@ import json
 import re
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -158,6 +159,8 @@ RECORDS = [
     (pc.MachineModel("v100", {"single": 15700.0, "half": 125000.0}, 900.0),
      "MachineModel(name='v100', peaks={'single': 15700.0, 'half': 125000.0}, "
      "mem_bandwidth_gbps=900.0)", "mem_bandwidth_gbps"),
+    (pc.WorkloadProfile("w", pc.Suite.MLPERF, {"x": 1.0}),
+     "WorkloadProfile(name='w', suite=<Suite.MLPERF: 'MLPerf'>, metrics={'x': 1.0})", "metrics"),
 ]
 
 
@@ -168,6 +171,38 @@ def test_record_repr_and_immutability(record, text, field):
         setattr(record, field, 1.0)
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+# each checked record and its declared field types, in field order
+TYPE_HINTS = [
+    (pc.Job, {"name": str, "t1_minutes": float, "speedup": dict[int, float]}),
+    (pc.KernelRecord, {"class_name": str, "time_ms": float, "calls": int,
+                       "unique_kernels": int, "flops": int, "transactions": int}),
+    (pc.WorkloadProfile, {"name": str, "suite": pc.Suite, "metrics": dict[str, float]}),
+    (pc.ClusterSpec, {"gpu_count": int, "allowed_widths": tuple[int, ...]}),
+    (pc.MachineModel, {"name": str, "peaks": dict[str, float], "mem_bandwidth_gbps": float}),
+]
+
+
+@pytest.mark.parametrize("cls, hints", TYPE_HINTS, ids=[c.__name__ for c, _ in TYPE_HINTS])
+def test_checked_record_field_types(cls, hints):
+    assert typing.get_type_hints(cls) == hints
+    assert cls._fields == tuple(hints)
+
+
+def test_records_keep_their_own_dicts():
+    metrics = {"x": 1.0}
+    profile = pc.WorkloadProfile("w", pc.Suite.OTHER, metrics)
+    metrics["x"] = -1.0
+    assert profile.metrics == {"x": 1.0}
+    peaks = {"single": 2.0}
+    machine = pc.MachineModel("m", peaks, 2.0)
+    peaks["single"] = 0.0
+    assert machine.ridge("single") == 1.0
+    speedup = {2: 1.5}
+    job = pc.Job("a", 10.0, speedup)
+    speedup[2] = -1.0
+    assert job.speedup == {1: 1.0, 2: 1.5}
 
 
 def test_placement_asdict_keeps_the_schedule_json_key_order():
