@@ -4,16 +4,6 @@ from pathlib import Path
 
 DATA_DIR = Path(__file__).parent / "data"
 
-KERNEL_BENCHMARKS = (
-    "Res50_TF",
-    "Res50_MX",
-    "XFMR_Py",
-    "GNMT_Py",
-    "SSD_Py",
-    "MRCNN_Py",
-    "NCF_Py",
-)
-
 
 def sample_path(*parts: str) -> Path:
     """Bundled file, e.g. sample_path('jobs.csv') or sample_path('kernels', 'NCF_Py.csv')."""

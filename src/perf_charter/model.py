@@ -22,7 +22,7 @@ define ``__new__``, and ``_checked_make`` sends its ``_make``, and so
 ``_replace``, through that ``__new__``.  A dict field is the record's own
 copy.
 
-Output has one path too: every table, here and in the CLI, goes through
+Output has one path too: every table the CLI writes goes through
 ``_write_rows`` (CSV quoted as needed with None blank, or JSON objects that
 omit None), and every JSON document through ``_dump_json``, which refuses
 non-finite floats.
@@ -123,23 +123,6 @@ class MetricMatrix:
                 f"values shape {self.values.shape} does not match "
                 f"{len(workload_names)} workloads x {len(metric_names)} metrics"
             )
-
-    def __eq__(self, other):
-        import numpy as np
-
-        if not isinstance(other, MetricMatrix):
-            return NotImplemented
-        return (
-            self.workload_names == other.workload_names
-            and self.metric_names == other.metric_names
-            and np.array_equal(self.values, other.values)
-        )
-
-    def row(self, workload: str) -> np.ndarray:
-        return self.values[self.workload_names.index(workload)]
-
-    def column(self, metric: str) -> np.ndarray:
-        return self.values[:, self.metric_names.index(metric)]
 
 
 class KernelRecord(NamedTuple("KernelRecord", [
@@ -385,21 +368,6 @@ def matrix_from_profiles(profiles: list[WorkloadProfile]) -> MetricMatrix:
     return MetricMatrix([p.name for p in profiles], kept, values)
 
 
-def parse_profiles(text: str, format: str = "csv") -> MetricMatrix:
-    return matrix_from_profiles(parse_workload_profiles(text, format))
-
-
-def serialize_profiles(
-    matrix: MetricMatrix, format: str = "csv", suites: dict[str, Suite] | None = None
-) -> str:
-    suites = suites or {}
-    rows = (
-        (name, suites.get(name, Suite.OTHER).value, *[float(v) for v in matrix.values[i]])
-        for i, name in enumerate(matrix.workload_names)
-    )
-    return _write_rows(("name", "suite", *matrix.metric_names), rows, format)
-
-
 # --- jobs --------------------------------------------------------------------
 
 
@@ -441,16 +409,6 @@ def _width_from_column(col: str, line: int) -> int:
     return int(col[1:])
 
 
-def serialize_jobs(jobs: list[Job], format: str = "csv") -> str:
-    widths = sorted({w for job in jobs for w in job.speedup} - {1})
-    rows = (
-        (job.name, float(job.t1_minutes),
-         *[float(job.speedup[w]) if w in job.speedup else None for w in widths])
-        for job in jobs
-    )
-    return _write_rows(("name", "t1_minutes", *[f"s{w}" for w in widths]), rows, format)
-
-
 # --- kernels -----------------------------------------------------------------
 
 _KERNEL_FIELDS = ("class", "time_ms", "calls", "unique", "flops", "transactions")
@@ -477,14 +435,6 @@ def parse_kernels(text: str, format: str = "csv") -> list[KernelRecord]:
         except ValueError as exc:
             raise MalformedRow(line, str(exc)) from None
     return records
-
-
-def serialize_kernels(records: list[KernelRecord], format: str = "csv") -> str:
-    rows = (
-        (r.class_name, float(r.time_ms), r.calls, r.unique_kernels, r.flops, r.transactions)
-        for r in records
-    )
-    return _write_rows(_KERNEL_FIELDS, rows, format)
 
 
 DEFAULT_TRANSACTION_BYTES = 32

@@ -113,23 +113,11 @@ def ceiling_at(peak: float, mem_bandwidth_gbps: float, intensity: float) -> floa
     return min(peak, mem_bandwidth_gbps * intensity)
 
 
-def attainable(machine: MachineModel, precision: str, intensity: float) -> float:
-    """Roofline ceiling at the given intensity."""
-    if intensity < 0:
-        raise ValueError("intensity must be >= 0")
-    return ceiling_at(machine.peak(precision), machine.mem_bandwidth_gbps, intensity)
-
-
 def classify_at(ridge: float, intensity: float) -> str:
     """memory_bound / compute_bound split at ``ridge`` (relative 1e-9 band)."""
     if abs(intensity - ridge) <= 1e-9 * ridge:
         return AT_RIDGE
     return MEMORY_BOUND if intensity < ridge else COMPUTE_BOUND
-
-
-def classify(machine: MachineModel, precision: str, point: RooflinePoint) -> str:
-    """memory_bound / compute_bound split at the precision's ridge."""
-    return classify_at(machine.ridge(precision), point.intensity)
 
 
 def workload_point(

@@ -104,12 +104,6 @@ def runtime(job: Job, width: int) -> float:
     return job.t1_minutes / job.speedup[width]
 
 
-def scaling_efficiency(job: Job, width: int) -> float:
-    if width not in job.speedup:
-        raise AnalysisError(f"{job.name} has no speedup for width {width}")
-    return job.speedup[width] / width
-
-
 def _width_options(job: Job, cluster: ClusterSpec) -> list[int]:
     options = sorted(w for w in cluster.allowed_widths if w in job.speedup)
     if not options:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AnalysisError
-from .model import MetricMatrix, WorkloadProfile, metric_order_key
+from .model import MetricMatrix, metric_order_key
 
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
@@ -202,18 +202,6 @@ def dominant_metric(model: PcaModel, pc: int) -> tuple[str, float]:
         key=lambda i: metric_order_key(model.metric_names[i], i),
     )
     return model.metric_names[best], float(loadings[best])
-
-
-def project(model: PcaModel, profile: WorkloadProfile | Mapping[str, float]) -> np.ndarray:
-    """Coordinates of one workload in the fitted PC space."""
-    metrics = profile.metrics if isinstance(profile, WorkloadProfile) else profile
-    x = np.empty(len(model.metric_names))
-    for i, name in enumerate(model.metric_names):
-        if name not in metrics:
-            raise AnalysisError(f"metric {name!r} is missing from the profile")
-        x[i] = metrics[name]
-    z = (x - model.standardization.means) / model.standardization.stds
-    return z @ model.eigenvectors
 
 
 def pca_to_dict(model: PcaModel) -> dict:

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import perf_charter
+from perf_charter.model import _KERNEL_FIELDS, _write_rows
 
 # the child imports the package from the same src tree as this process,
 # whatever the working directory
@@ -26,14 +27,36 @@ def run_cli(*args):
     )
 
 
+# the seven per-benchmark kernel files bundled under data/kernels
+KERNEL_BENCHMARKS = ("Res50_TF", "Res50_MX", "XFMR_Py", "GNMT_Py", "SSD_Py", "MRCNN_Py", "NCF_Py")
+
+
+def write_profiles(profiles, format="csv"):
+    """profiles.csv rows for WorkloadProfile records; a metric a profile lacks is blank."""
+    metrics = list(dict.fromkeys(m for p in profiles for m in p.metrics))
+    rows = ((p.name, p.suite.value, *[p.metrics.get(m) for m in metrics]) for p in profiles)
+    return _write_rows(("name", "suite", *metrics), rows, format)
+
+
+def write_jobs(jobs, format="csv"):
+    """jobs.csv rows, one s<k> column per width above 1 that any job has."""
+    widths = sorted({w for job in jobs for w in job.speedup} - {1})
+    rows = (
+        (job.name, job.t1_minutes, *[job.speedup.get(w) for w in widths]) for job in jobs
+    )
+    return _write_rows(("name", "t1_minutes", *[f"s{w}" for w in widths]), rows, format)
+
+
+def write_kernels(records, format="csv"):
+    """kernels.csv rows, one per KernelRecord, fields in record order."""
+    return _write_rows(_KERNEL_FIELDS, records, format)
+
+
 def json_mirror(name):
-    """The JSON mirror of a bundled CSV table, as the serializers write it."""
+    """The JSON mirror of a bundled CSV table, as the writers above write it."""
     text = perf_charter.sample_path(f"{name}.csv").read_text()
     if name == "jobs":
-        return perf_charter.serialize_jobs(perf_charter.parse_jobs(text), "json")
+        return write_jobs(perf_charter.parse_jobs(text), "json")
     if name == "kernels":
-        return perf_charter.serialize_kernels(perf_charter.parse_kernels(text), "json")
-    profiles = perf_charter.parse_workload_profiles(text)
-    return perf_charter.serialize_profiles(
-        perf_charter.matrix_from_profiles(profiles), "json", {p.name: p.suite for p in profiles}
-    )
+        return write_kernels(perf_charter.parse_kernels(text), "json")
+    return write_profiles(perf_charter.parse_workload_profiles(text), "json")

@@ -3,6 +3,7 @@ import warnings
 import pytest
 
 import perf_charter as pc
+from perf_charter import stats
 
 ACCEPTANCE_RESULTS: dict[str, tuple[int, str, str]] = {}
 SOFT_NOTES: list[str] = []
@@ -46,14 +47,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def sample_matrix() -> pc.MetricMatrix:
     text = pc.sample_path("profiles.csv").read_text()
-    return pc.parse_profiles(text)
+    return pc.matrix_from_profiles(pc.parse_workload_profiles(text))
 
 
 @pytest.fixture(scope="session")
-def sample_pca(sample_matrix) -> pc.PcaModel:
+def sample_pca(sample_matrix) -> stats.PcaModel:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return pc.fit_pca(sample_matrix)
+        return stats.fit_pca(sample_matrix)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import perf_charter as pc
-from cli_helpers import run_cli
+from perf_charter import cluster, roofline, stats
+from cli_helpers import KERNEL_BENCHMARKS, run_cli
 from conftest import soft_note
 from oracle_helpers import brute_force_makespan, check_schedule, symmetric_3x3_eigenvalues
 
@@ -47,9 +48,9 @@ def test_criterion_2_naive_regression(sample_jobs):
 def test_criterion_3_dominance_and_structure(sample_jobs):
     savings_by_p = {}
     for gpus in (2, 4, 8):
-        cluster = pc.ClusterSpec(gpus)
-        naive = pc.naive_schedule(sample_jobs, cluster)
-        exact = pc.exact_schedule(sample_jobs, cluster)
+        spec = pc.ClusterSpec(gpus)
+        naive = pc.naive_schedule(sample_jobs, spec)
+        exact = pc.exact_schedule(sample_jobs, spec)
         assert exact.makespan < naive.makespan, f"no improvement at P={gpus}"
         savings_by_p[gpus] = pc.savings(naive, exact)
         check_schedule(exact, gpus, sample_jobs)
@@ -95,8 +96,7 @@ def test_criterion_4_exact_oracle_equivalence():
                 if w != 1 and rng.random() < 0.7:
                     speedup[w] = round(rng.uniform(0.5, 1.25 * w), 3)
             jobs.append(pc.Job(f"j{i}", round(rng.uniform(0.5, 30.0), 3), speedup))
-        cluster = pc.ClusterSpec(gpus, widths)
-        exact = pc.exact_schedule(jobs, cluster)
+        exact = pc.exact_schedule(jobs, pc.ClusterSpec(gpus, widths))
         oracle = brute_force_makespan(jobs, gpus, widths)
         assert exact.makespan == pytest.approx(oracle, abs=1e-9), f"case {case}"
         check_schedule(exact, gpus, jobs)
@@ -116,8 +116,8 @@ def test_criterion_5_pca_properties():
             [f"m{j}" for j in range(m)],
             rng.randn(n, m) * rng.uniform(0.1, 100.0),
         )
-        model = pc.fit_pca(matrix)
-        z, _, _ = pc.standardize(matrix)
+        model = stats.fit_pca(matrix)
+        z, _, _ = stats.standardize(matrix)
         v = model.eigenvectors
         assert np.abs(v.T @ v - np.eye(v.shape[0])).max() < 1e-8
         assert np.abs(model.projections @ v.T - z).max() < 1e-8
@@ -126,7 +126,7 @@ def test_criterion_5_pca_properties():
     for _ in range(100):
         b = rng.randn(3, 3)
         a = (b + b.T) / 2
-        eigenvalues, _ = pc.jacobi_eigen(a)
+        eigenvalues, _ = stats.jacobi_eigen(a)
         assert eigenvalues == pytest.approx(
             symmetric_3x3_eigenvalues(a), abs=1e-8
         )
@@ -141,31 +141,31 @@ def test_criterion_6_clustering_properties():
     for _ in range(40):
         n = rng.randint(3, 12)
         points = rng.randn(n, rng.randint(1, 5))
-        dist = pc.pairwise_distances(points)
+        dist = cluster.pairwise_distances(points)
         names = [f"w{i}" for i in range(n)]
         for linkage in ("single", "complete", "average"):
-            dendrogram = pc.agglomerate(dist, linkage, names=names)
+            dendrogram = cluster.agglomerate(dist, linkage, names=names)
             heights = [merge.height for merge in dendrogram.merges]
             assert all(a <= b for a, b in zip(heights, heights[1:]))
             lo, hi = sorted(rng.uniform(0, max(heights) * 1.2, size=2))
-            fine, coarse = pc.cut(dendrogram, lo), pc.cut(dendrogram, hi)
+            fine, coarse = cluster.cut(dendrogram, lo), cluster.cut(dendrogram, hi)
             for cluster_set in fine:
                 assert any(cluster_set <= other for other in coarse)
-            singles, _ = pc.cut_k(dendrogram, n)
+            singles, _ = cluster.cut_k(dendrogram, n)
             assert all(len(c) == 1 for c in singles)
-            whole, threshold = pc.cut_k(dendrogram, 1)
+            whole, threshold = cluster.cut_k(dendrogram, 1)
             assert len(whole) == 1 and threshold == float("inf")
         # medoid determinism under row permutation
         order = list(range(n))
         rng.shuffle(order)
-        base_d = pc.agglomerate(dist, names=names)
-        base_clusters, _ = pc.cut_k(base_d, min(3, n))
-        base_reps = pc.select_representatives(base_clusters, dist, names)
-        moved = pc.pairwise_distances(points[order])
+        base_d = cluster.agglomerate(dist, names=names)
+        base_clusters, _ = cluster.cut_k(base_d, min(3, n))
+        base_reps = cluster.select_representatives(base_clusters, dist, names)
+        moved = cluster.pairwise_distances(points[order])
         moved_names = [names[i] for i in order]
-        moved_d = pc.agglomerate(moved, names=moved_names)
-        moved_clusters, _ = pc.cut_k(moved_d, min(3, n))
-        moved_reps = pc.select_representatives(moved_clusters, moved, moved_names)
+        moved_d = cluster.agglomerate(moved, names=moved_names)
+        moved_clusters, _ = cluster.cut_k(moved_d, min(3, n))
+        moved_reps = cluster.select_representatives(moved_clusters, moved, moved_names)
         assert sorted(base_reps) == sorted(moved_reps)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -173,7 +173,7 @@ def test_criterion_6_clustering_properties():
 
 @pytest.mark.acceptance(7, label="coverage regression (full subset; degenerate metric)")
 def test_criterion_7_coverage(sample_matrix):
-    report = pc.coverage(sample_matrix, list(sample_matrix.workload_names))
+    report = cluster.coverage(sample_matrix, list(sample_matrix.workload_names))
     for metric, bounds in report.coverage.items():
         assert bounds == (0.0, 100.0), metric
     # the constant nvlink column takes the flagged degenerate path
@@ -184,9 +184,9 @@ def test_criterion_7_coverage(sample_matrix):
 @pytest.mark.acceptance(8, label="roofline properties + 7 memory-bound workload points")
 def test_criterion_8_roofline_properties(default_machine):
     grid = np.linspace(0.0, 3 * default_machine.ridge("single"), 400)
-    values = [pc.attainable(default_machine, "single", x) for x in grid]
+    peak, bandwidth = default_machine.peak("single"), default_machine.mem_bandwidth_gbps
+    values = [roofline.ceiling_at(peak, bandwidth, x) for x in grid]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-    peak = default_machine.peaks["single"]
     assert max(values) == peak
     assert all(v <= peak for v in values)
 
@@ -197,10 +197,10 @@ def test_criterion_8_roofline_properties(default_machine):
         assert pc.intensity(flops, transactions, 64) == pc.intensity(flops, transactions, 32) / 2
 
     labels = {}
-    for bench in pc.KERNEL_BENCHMARKS:
+    for bench in KERNEL_BENCHMARKS:
         records = pc.parse_kernels(pc.sample_path("kernels", f"{bench}.csv").read_text())
         point = pc.workload_point(records, name=bench)
-        labels[bench] = pc.classify(default_machine, "single", point)
+        labels[bench] = roofline.classify_at(default_machine.ridge("single"), point.intensity)
     memory_bound = [b for b, label in labels.items() if label == "memory_bound"]
     soft_note(
         f"criterion 8: {len(memory_bound)}/7 workload points memory-bound under the "

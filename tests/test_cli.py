@@ -9,7 +9,7 @@ import pytest
 
 import perf_charter as pc
 from perf_charter import cli, svg
-from cli_helpers import cli_env, json_mirror, run_cli
+from cli_helpers import KERNEL_BENCHMARKS, cli_env, json_mirror, run_cli
 
 PROFILES = str(pc.sample_path("profiles.csv"))
 JOBS = str(pc.sample_path("jobs.csv"))
@@ -86,7 +86,7 @@ def test_characterize_matches_golden_digests(tmp_path, args):
     assert digests == _CHARACTERIZE_GOLDEN[args]
 
 
-KERNEL_FILES = tuple(str(pc.sample_path("kernels", f"{b}.csv")) for b in pc.KERNEL_BENCHMARKS)
+KERNEL_FILES = tuple(str(pc.sample_path("kernels", f"{b}.csv")) for b in KERNEL_BENCHMARKS)
 
 # sha256 of what roofline writes and prints, per case: the bundled kernel
 # classes, the seven per-benchmark files (names get the "<stem>/" prefix),
@@ -192,7 +192,7 @@ def test_roofline_per_class(tmp_path):
 def test_roofline_aggregate_seven_benchmarks(tmp_path):
     out = tmp_path / "out"
     kernel_files = [
-        str(pc.sample_path("kernels", f"{b}.csv")) for b in pc.KERNEL_BENCHMARKS
+        str(pc.sample_path("kernels", f"{b}.csv")) for b in KERNEL_BENCHMARKS
     ]
     result = run_cli(
         "roofline", "--kernels", *kernel_files, "--aggregate", "--out", str(out)

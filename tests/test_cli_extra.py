@@ -5,26 +5,17 @@ import subprocess
 import pytest
 
 import perf_charter as pc
-from cli_helpers import run_cli
+from cli_helpers import json_mirror, run_cli
 
 
 def test_json_inputs_end_to_end(tmp_path):
     # JSON mirrors of the bundled CSVs drive the same pipeline
-    profiles = pc.parse_workload_profiles(pc.sample_path("profiles.csv").read_text())
-    matrix = pc.matrix_from_profiles(profiles)
-    suites = {p.name: p.suite for p in profiles}
     profiles_json = tmp_path / "profiles.json"
-    profiles_json.write_text(pc.serialize_profiles(matrix, "json", suites))
+    profiles_json.write_text(json_mirror("profiles"))
     jobs_json = tmp_path / "jobs.json"
-    jobs_json.write_text(
-        pc.serialize_jobs(pc.parse_jobs(pc.sample_path("jobs.csv").read_text()), "json")
-    )
+    jobs_json.write_text(json_mirror("jobs"))
     kernels_json = tmp_path / "kernels.json"
-    kernels_json.write_text(
-        pc.serialize_kernels(
-            pc.parse_kernels(pc.sample_path("kernels.csv").read_text()), "json"
-        )
-    )
+    kernels_json.write_text(json_mirror("kernels"))
 
     r1 = run_cli("characterize", "--profiles", str(profiles_json),
                  "--out", str(tmp_path / "chr"))

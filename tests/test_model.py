@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perf_charter as pc
+from cli_helpers import write_jobs, write_kernels, write_profiles
 from perf_charter.errors import MalformedRow, NonNumericCell, ParseError
+
+def _matrix(text, format="csv"):
+    return pc.matrix_from_profiles(pc.parse_workload_profiles(text, format))
+
 
 CSV_TWO = "name,suite,cpu_util_pct,gpu_util_pct\na,MLPerf,1.5,2.5\nb,Other,3.5,4.5\n"
 
@@ -24,12 +29,12 @@ def test_parse_profiles_sample_shape(sample_matrix):
         "pcie_mbps",
         "nvlink_mbps",
     ]
-    assert sample_matrix.row("MLPf_Res50_TF")[0] == 85.84
+    assert sample_matrix.values[sample_matrix.workload_names.index("MLPf_Res50_TF"), 0] == 85.84
 
 
 def test_parse_profiles_identical_rows_differ_only_in_name():
     text = "name,suite,m1,m2\nx,Other,1.0,2.0\ny,Other,1.0,2.0\n"
-    matrix = pc.parse_profiles(text)
+    matrix = _matrix(text)
     assert matrix.workload_names == ["x", "y"]
     assert np.array_equal(matrix.values[0], matrix.values[1])
 
@@ -37,37 +42,37 @@ def test_parse_profiles_identical_rows_differ_only_in_name():
 def test_parse_profiles_missing_column_dropped_with_warning():
     text = "name,suite,epochs,gpu_util_pct\na,Other,5,50\nb,Other,,60\n"
     with pytest.warns(UserWarning, match="epochs"):
-        matrix = pc.parse_profiles(text)
+        matrix = _matrix(text)
     assert matrix.metric_names == ["gpu_util_pct"]
     assert matrix.workload_names == ["a", "b"]
 
 
 def test_parse_profiles_errors():
     with pytest.raises(ParseError, match="need at least 2 workloads, got 1"):
-        pc.parse_profiles("name,suite,m\nonly,Other,1\n")
+        _matrix("name,suite,m\nonly,Other,1\n")
     with pytest.raises(MalformedRow, match="^line 3: duplicate workload name 'a'$"):
-        pc.parse_profiles("name,suite,m\na,Other,1\na,Other,2\n")
+        _matrix("name,suite,m\na,Other,1\na,Other,2\n")
     with pytest.raises(NonNumericCell):
-        pc.parse_profiles("name,suite,m\na,Other,oops\nb,Other,1\n")
+        _matrix("name,suite,m\na,Other,oops\nb,Other,1\n")
     with pytest.raises(MalformedRow) as exc:
-        pc.parse_profiles("name,suite,m\na,Other\nb,Other,1\n")
+        _matrix("name,suite,m\na,Other\nb,Other,1\n")
     assert exc.value.line == 2
     with pytest.raises(MalformedRow):
-        pc.parse_profiles("name,suite,m\na,Other,-1\nb,Other,1\n")  # negative metric
+        _matrix("name,suite,m\na,Other,-1\nb,Other,1\n")  # negative metric
 
 
 def test_parse_profiles_json_mirror():
     entries = '[{"name":"a","suite":"MLPerf","gpu_util_pct":10.5},' \
               '{"name":"b","suite":"DeepBench","gpu_util_pct":20.5}]'
-    matrix = pc.parse_profiles(entries, "json")
+    matrix = _matrix(entries, "json")
     assert matrix.metric_names == ["gpu_util_pct"]
     assert matrix.values[1, 0] == 20.5
 
 
-def test_profiles_round_trip_csv_and_json(sample_matrix):
+def test_profiles_round_trip_csv_and_json():
+    profiles = pc.parse_workload_profiles(pc.sample_path("profiles.csv").read_text())
     for fmt in ("csv", "json"):
-        text = pc.serialize_profiles(sample_matrix, fmt)
-        assert pc.parse_profiles(text, fmt) == sample_matrix
+        assert pc.parse_workload_profiles(write_profiles(profiles, fmt), fmt) == profiles
 
 
 def test_column_drop_preserves_workload_order():
@@ -76,7 +81,7 @@ def test_column_drop_preserves_workload_order():
         m1 = "" if i == 3 else f"{i}.5"
         rows.append(f"w{i},Other,{m1},{i}")
     with pytest.warns(UserWarning):
-        matrix = pc.parse_profiles("\n".join(rows) + "\n")
+        matrix = _matrix("\n".join(rows) + "\n")
     assert matrix.workload_names == [f"w{i}" for i in range(6)]
     assert matrix.metric_names == ["m2"]
 
@@ -160,7 +165,7 @@ def test_records_refuse_what_the_parsers_refuse(build, message):
 
 def test_jobs_round_trip(sample_jobs):
     for fmt in ("csv", "json"):
-        assert pc.parse_jobs(pc.serialize_jobs(sample_jobs, fmt), fmt) == sample_jobs
+        assert pc.parse_jobs(write_jobs(sample_jobs, fmt), fmt) == sample_jobs
 
 
 @st.composite
@@ -181,7 +186,7 @@ def jobs_strategy(draw):
 @given(jobs_strategy())
 def test_jobs_round_trip_property(jobs):
     for fmt in ("csv", "json"):
-        assert pc.parse_jobs(pc.serialize_jobs(jobs, fmt), fmt) == jobs
+        assert pc.parse_jobs(write_jobs(jobs, fmt), fmt) == jobs
 
 
 def test_kernel_summary_relu(sample_kernels):
@@ -213,7 +218,7 @@ def test_kernel_summary_permutation_invariant(sample_kernels):
 
 def test_kernels_round_trip(sample_kernels):
     for fmt in ("csv", "json"):
-        assert pc.parse_kernels(pc.serialize_kernels(sample_kernels, fmt), fmt) == sample_kernels
+        assert pc.parse_kernels(write_kernels(sample_kernels, fmt), fmt) == sample_kernels
 
 
 # names hold the characters CSV must quote, and equal their own strip()
@@ -231,7 +236,7 @@ KERNEL_NAMES = st.text(
 ), max_size=4))
 def test_kernels_round_trip_property(records):
     for fmt in ("csv", "json"):
-        assert pc.parse_kernels(pc.serialize_kernels(records, fmt), fmt) == records
+        assert pc.parse_kernels(write_kernels(records, fmt), fmt) == records
 
 
 def test_kernel_summary_configurable_bytes(sample_kernels):

@@ -14,6 +14,7 @@ import json
 import re
 import subprocess
 import sys
+import types
 import typing
 
 import pytest
@@ -21,39 +22,43 @@ import pytest
 import perf_charter as pc
 from cli_helpers import cli_env
 
-# Every name ``perf_charter`` exported before ``cluster`` and ``stats`` became
-# lazy, with the submodule that defines it.
-EXPORTS = {
+# The library API: each public name and the module that defines it.  The
+# package re-exports the names of model, roofline, sched and datafiles; the
+# names of cluster and stats, which import numpy, are reached through their
+# submodule (``from perf_charter import cluster, stats``).
+SUBMODULE_NAMES = {
     **dict.fromkeys(
         ("Dendrogram", "Merge", "SubsetReport", "agglomerate", "coverage", "cut", "cut_k",
          "pairwise_distances", "select_representatives"),
         "cluster",
     ),
-    **dict.fromkeys(("KERNEL_BENCHMARKS", "sample_path"), "datafiles"),
+    **dict.fromkeys(
+        ("PcaModel", "Standardization", "dominant_metric", "fit_pca", "jacobi_eigen",
+         "pca_to_dict", "standardize"),
+        "stats",
+    ),
+}
+EXPORTS = {
+    "sample_path": "datafiles",
     **dict.fromkeys(
         ("CANONICAL_METRICS", "Job", "KernelRecord", "MetricMatrix", "Suite",
          "WorkloadProfile", "kernel_summary", "matrix_from_profiles", "parse_jobs",
-         "parse_kernels", "parse_profiles", "parse_workload_profiles", "serialize_jobs",
-         "serialize_kernels", "serialize_profiles"),
+         "parse_kernels", "parse_workload_profiles"),
         "model",
     ),
     **dict.fromkeys(
-        ("MachineModel", "RooflinePoint", "attainable", "classify", "intensity",
-         "machine_from_dict", "throughput", "workload_point"),
+        ("MachineModel", "RooflinePoint", "intensity", "machine_from_dict", "throughput",
+         "workload_point"),
         "roofline",
     ),
     **dict.fromkeys(
         ("ClusterSpec", "Placement", "Schedule", "ascii_gantt", "exact_schedule",
          "heuristic_schedule", "list_schedule", "naive_schedule", "permutation_search",
-         "runtime", "savings", "scaling_efficiency", "validate_schedule"),
+         "runtime", "savings", "validate_schedule"),
         "sched",
     ),
-    **dict.fromkeys(
-        ("PcaModel", "Standardization", "dominant_metric", "fit_pca", "jacobi_eigen",
-         "pca_to_dict", "project", "standardize"),
-        "stats",
-    ),
 }
+API = {**EXPORTS, **SUBMODULE_NAMES}
 HEAVY = ("numpy", "urllib.request", "xml.sax", "dataclasses", "inspect", "html")
 
 
@@ -64,39 +69,20 @@ def _fresh(code: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("name", sorted(EXPORTS))
+@pytest.mark.parametrize("name", sorted(API))
 def test_exported_name_resolves_to_its_module_object(name):
-    module = importlib.import_module(f"perf_charter.{EXPORTS[name]}")
-    assert getattr(pc, name) is getattr(module, name)
-    assert name in dir(pc)
+    module = importlib.import_module(f"perf_charter.{API[name]}")
+    home = pc if name in EXPORTS else module
+    assert getattr(home, name) is getattr(module, name)
+    assert (name in dir(pc)) == (name in EXPORTS)
 
 
-def test_lazy_submodules_and_unknown_names():
-    import perf_charter.cluster
-    import perf_charter.stats
-
-    assert pc.cluster is perf_charter.cluster
-    assert pc.stats is perf_charter.stats
-    assert {"cluster", "stats"} <= set(dir(pc))
-    with pytest.raises(AttributeError, match="nope"):
-        pc.nope  # noqa: B018
-    assert not hasattr(pc, "nope")
-
-
-def test_fresh_package_resolves_lazy_names():
-    # before anything imported cluster or stats: the collection of
-    # test_cluster.py reads pc.cluster.LINKAGES at import time
-    code = (
-        "import sys, perf_charter as pc\n"
-        "assert 'numpy' not in sys.modules\n"
-        "assert pc.cluster is sys.modules['perf_charter.cluster'] and pc.cluster.LINKAGES\n"
-        "assert pc.agglomerate is pc.cluster.agglomerate\n"
-        "assert pc.fit_pca is sys.modules['perf_charter.stats'].fit_pca\n"
-        "assert pc.stats is sys.modules['perf_charter.stats']\n"
-        "assert not hasattr(pc, 'nope')\n"
-    )
-    done = _fresh(code)
-    assert done.returncode == 0, done.stderr
+def test_package_exports_exactly_the_api():
+    public = {
+        name for name, value in vars(pc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(EXPORTS)
 
 
 def _heavy_after(body: str) -> tuple[int, list[str]]:
@@ -110,7 +96,7 @@ def _heavy_after(body: str) -> tuple[int, list[str]]:
     return tuple(json.loads(done.stdout.splitlines()[-1]))
 
 
-@pytest.mark.parametrize("module", ["perf_charter.cli", "perf_charter.model"])
+@pytest.mark.parametrize("module", ["perf_charter", "perf_charter.cli", "perf_charter.model"])
 def test_import_loads_no_heavy_module(module):
     assert _heavy_after(f"import {module}\ncode = 0") == (0, [])
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import perf_charter as pc
 from perf_charter import roofline
 from perf_charter.errors import AnalysisError, ParseError
+from cli_helpers import KERNEL_BENCHMARKS
 
 
 def _record(name, flops, transactions, time_ms=1.0):
@@ -48,28 +49,31 @@ def test_throughput_zero_flops_and_bad_time():
         pc.throughput(100, 0.0)
 
 
-# --- attainable / classify -----------------------------------------------------
+# --- ceiling / classification ------------------------------------------------
+# the two rules as the roofline command applies them, at one precision
+
+
+def attainable(machine, x):
+    return roofline.ceiling_at(machine.peak("single"), machine.mem_bandwidth_gbps, x)
+
 
 def test_attainable_basics(default_machine):
-    assert pc.attainable(default_machine, "single", 0.0) == 0.0
+    assert attainable(default_machine, 0.0) == 0.0
     ridge = default_machine.ridge("single")
     assert ridge == pytest.approx(17.5)
     peak = default_machine.peaks["single"]
-    assert pc.attainable(default_machine, "single", ridge) == pytest.approx(peak)
-    assert pc.attainable(default_machine, "single", ridge * 10) == peak
-    assert pc.attainable(default_machine, "single", 1.27) == pytest.approx(
-        800 * 1.27
-    )
+    assert attainable(default_machine, ridge) == pytest.approx(peak)
+    assert attainable(default_machine, ridge * 10) == peak
+    assert attainable(default_machine, 1.27) == pytest.approx(800 * 1.27)
     with pytest.raises(AnalysisError, match="has no 'quad' peak"):
-        pc.attainable(default_machine, "quad", 1.0)
+        default_machine.peak("quad")
 
 
 def test_classify_bands(default_machine):
     ridge = default_machine.ridge("single")
-    mk = lambda i: pc.RooflinePoint("x", i, 1.0)
-    assert pc.classify(default_machine, "single", mk(1.27)) == "memory_bound"
-    assert pc.classify(default_machine, "single", mk(ridge)) == "at_ridge"
-    assert pc.classify(default_machine, "single", mk(208.98)) == "compute_bound"
+    assert roofline.classify_at(ridge, 1.27) == "memory_bound"
+    assert roofline.classify_at(ridge, ridge) == "at_ridge"
+    assert roofline.classify_at(ridge, 208.98) == "compute_bound"
 
 
 def test_classify_band_edges(default_machine):
@@ -84,16 +88,7 @@ def test_classify_band_edges(default_machine):
         math.nextafter(hi, math.inf): "compute_bound",
     }
     for x, label in expected.items():
-        assert pc.classify(default_machine, "single", pc.RooflinePoint("x", x, 1.0)) == label
         assert roofline.classify_at(ridge, x) == label
-
-
-def test_attainable_shares_the_ceiling_rule(default_machine):
-    peak, bandwidth = default_machine.peaks["single"], default_machine.mem_bandwidth_gbps
-    for x in (0.0, 1.27, 17.5, 208.98, math.inf):
-        assert pc.attainable(default_machine, "single", x) == roofline.ceiling_at(
-            peak, bandwidth, x
-        )
 
 
 def test_roofline_point_contract():
@@ -156,10 +151,10 @@ def test_all_seven_benchmarks_memory_bound(default_machine):
     from conftest import soft_note
 
     labels = {}
-    for bench in pc.KERNEL_BENCHMARKS:
+    for bench in KERNEL_BENCHMARKS:
         records = pc.parse_kernels(pc.sample_path("kernels", f"{bench}.csv").read_text())
         point = pc.workload_point(records, name=bench)
-        labels[bench] = pc.classify(default_machine, "single", point)
+        labels[bench] = roofline.classify_at(default_machine.ridge("single"), point.intensity)
     bound = [b for b, label in labels.items() if label == "memory_bound"]
     soft_note(
         f"{len(bound)}/7 aggregate workload points memory-bound under the default "
@@ -175,8 +170,8 @@ def test_all_seven_benchmarks_memory_bound(default_machine):
 @given(st.floats(0, 1e4), st.floats(0, 1e4))
 def test_attainable_monotone(default_machine, a, b):
     lo, hi = sorted((a, b))
-    va = pc.attainable(default_machine, "single", lo)
-    vb = pc.attainable(default_machine, "single", hi)
+    va = attainable(default_machine, lo)
+    vb = attainable(default_machine, hi)
     assert va <= vb
     assert vb <= default_machine.peaks["single"]
 

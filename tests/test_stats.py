@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import perf_charter as pc
+from perf_charter import cluster, stats
 from perf_charter.errors import AnalysisError
 
 from oracle_helpers import jacobi_eigen_on_arrays, symmetric_3x3_eigenvalues
@@ -26,7 +27,7 @@ def _matrix(values, metrics=None, names=None):
 # --- standardize -------------------------------------------------------------
 
 def test_standardize_two_point_column():
-    z, params, dropped = pc.standardize(_matrix([[1.0], [-1.0]]))
+    z, params, dropped = stats.standardize(_matrix([[1.0], [-1.0]]))
     assert dropped == []
     assert z[:, 0] == pytest.approx([1 / math.sqrt(2), -1 / math.sqrt(2)])
     assert params.means[0] == 0.0
@@ -35,7 +36,7 @@ def test_standardize_two_point_column():
 
 def test_standardize_drops_constant_column():
     with pytest.warns(UserWarning, match="m0"):
-        z, params, dropped = pc.standardize(_matrix([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]]))
+        z, params, dropped = stats.standardize(_matrix([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]]))
     assert dropped == ["m0"]
     assert z.shape == (3, 1)
 
@@ -44,7 +45,7 @@ def test_standardize_sample_retains_five_of_six(sample_matrix):
     # nvlink_mbps is uniformly zero in the single-GPU block, so it is the one
     # zero-variance column; the other five survive.
     with pytest.warns(UserWarning, match="nvlink_mbps"):
-        z, params, dropped = pc.standardize(sample_matrix)
+        z, params, dropped = stats.standardize(sample_matrix)
     assert dropped == ["nvlink_mbps"]
     assert z.shape == (13, 5)
     assert np.abs(z.mean(axis=0)).max() < 1e-12
@@ -53,19 +54,19 @@ def test_standardize_sample_retains_five_of_six(sample_matrix):
 
 def test_standardize_too_few_rows():
     with pytest.raises(AnalysisError, match="standardize needs n >= 2 rows, got 1"):
-        pc.standardize(_matrix([[1.0, 2.0]]))
+        stats.standardize(_matrix([[1.0, 2.0]]))
 
 
 # --- jacobi ------------------------------------------------------------------
 
 def test_jacobi_2x2_analytic():
-    w, v = pc.jacobi_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    w, v = stats.jacobi_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert w == pytest.approx([3.0, 1.0])
     assert np.abs(v.T @ v - np.eye(2)).max() < 1e-12
 
 
 def test_jacobi_identity():
-    w, v = pc.jacobi_eigen(np.eye(3))
+    w, v = stats.jacobi_eigen(np.eye(3))
     assert w == pytest.approx([1.0, 1.0, 1.0])
     # columns are the standard basis up to permutation/sign
     assert np.abs(np.abs(v) - np.eye(3)).max() < 1e-12
@@ -73,7 +74,7 @@ def test_jacobi_identity():
 
 def test_jacobi_not_symmetric():
     with pytest.raises(AnalysisError, match=r"max \|A - A\^T\| = 2\.000e\+00 exceeds 1e-10"):
-        pc.jacobi_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        stats.jacobi_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
@@ -81,7 +82,7 @@ def test_jacobi_rejects_non_finite_entries(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
         with pytest.raises(AnalysisError, match=rf"entry \[0, 0\] is {bad}") as exc:
-            pc.jacobi_eigen(np.array([[bad, 1.0], [1.0, 0.0]]))
+            stats.jacobi_eigen(np.array([[bad, 1.0], [1.0, 0.0]]))
     assert exc.value.exit_code == 3
 
 
@@ -90,7 +91,7 @@ def test_jacobi_3x3_vs_characteristic_polynomial():
     for _ in range(25):
         b = rng.randn(3, 3)
         a = (b + b.T) / 2
-        w, v = pc.jacobi_eigen(a)
+        w, v = stats.jacobi_eigen(a)
         expected = symmetric_3x3_eigenvalues(a)
         assert w == pytest.approx(expected, abs=1e-8)
         assert np.abs(a @ v - v @ np.diag(w)).max() < 1e-8
@@ -120,7 +121,7 @@ def symmetric_matrices(draw):
 @settings(max_examples=120, deadline=None)
 @given(symmetric_matrices())
 def test_jacobi_matches_array_sweeps_bit_for_bit(sym):
-    w, v = pc.jacobi_eigen(sym)
+    w, v = stats.jacobi_eigen(sym)
     # a "wide" theta can overflow to inf: numpy scalars warn there, Python
     # floats do not, and both then take the same asymptotic branch
     with np.errstate(over="ignore"):
@@ -133,7 +134,7 @@ def test_jacobi_matches_array_sweeps_bit_for_bit(sym):
 
 def test_fit_pca_perfectly_correlated_columns():
     x = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [5.0, 10.0]])
-    model = pc.fit_pca(_matrix(x))
+    model = stats.fit_pca(_matrix(x))
     assert model.explained == pytest.approx([1.0, 0.0], abs=1e-12)
     assert model.eigenvalues == pytest.approx([2.0, 0.0], abs=1e-12)
 
@@ -141,7 +142,7 @@ def test_fit_pca_perfectly_correlated_columns():
 def test_fit_pca_orthogonal_standardized_columns():
     # columns already orthogonal with zero mean: covariance is the identity
     x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    model = pc.fit_pca(_matrix(x))
+    model = stats.fit_pca(_matrix(x))
     assert model.eigenvalues == pytest.approx([1.0, 1.0])
     assert model.explained == pytest.approx([0.5, 0.5])
 
@@ -159,8 +160,8 @@ def test_fit_pca_sample_variance_summary(sample_pca):
 
 
 def test_dominant_metric_basic():
-    model = pc.PcaModel(
-        standardization=pc.Standardization(np.zeros(3), np.ones(3)),
+    model = stats.PcaModel(
+        standardization=stats.Standardization(np.zeros(3), np.ones(3)),
         metric_names=["a", "b", "c"],
         workload_names=["w0", "w1"],
         eigenvalues=np.array([1.0, 1.0, 1.0]),
@@ -169,13 +170,13 @@ def test_dominant_metric_basic():
         explained=np.array([1 / 3] * 3),
         dropped_metrics=[],
     )
-    name, loading = pc.dominant_metric(model, 0)
+    name, loading = stats.dominant_metric(model, 0)
     assert (name, loading) == ("b", -0.9)
 
 
 def test_dominant_metric_tie_breaks_canonically():
-    model = pc.PcaModel(
-        standardization=pc.Standardization(np.zeros(2), np.ones(2)),
+    model = stats.PcaModel(
+        standardization=stats.Standardization(np.zeros(2), np.ones(2)),
         metric_names=["epochs", "gpu_util_pct"],  # gpu_util_pct is canonical-earlier
         workload_names=["w0", "w1"],
         eigenvalues=np.array([1.0, 1.0]),
@@ -184,15 +185,15 @@ def test_dominant_metric_tie_breaks_canonically():
         explained=np.array([0.5, 0.5]),
         dropped_metrics=[],
     )
-    assert pc.dominant_metric(model, 0)[0] == "gpu_util_pct"
+    assert stats.dominant_metric(model, 0)[0] == "gpu_util_pct"
     with pytest.raises(AnalysisError, match="pc 2 out of range for 2 components"):
-        pc.dominant_metric(model, 2)
+        stats.dominant_metric(model, 2)
 
 
 def test_dominant_metric_sample_soft_check(sample_pca):
     from conftest import soft_note
 
-    name, _ = pc.dominant_metric(sample_pca, 0)
+    name, _ = stats.dominant_metric(sample_pca, 0)
     agrees = "agrees with" if name == "hbm2_footprint_mb" else "differs from"
     soft_note(
         f"PC1 dominated by {name} on the 5-metric sample; {agrees} the reference "
@@ -200,24 +201,30 @@ def test_dominant_metric_sample_soft_check(sample_pca):
     )
 
 
-# --- project -----------------------------------------------------------------
+# --- projection ------------------------------------------------------------
+# a workload's PC coordinates are its standardized row @ eigenvectors
+
+
+def _retained(model, matrix):
+    """The matrix columns the fit kept, in the model's metric order."""
+    return matrix.values[:, [matrix.metric_names.index(name) for name in model.metric_names]]
+
+
+def _standardized(model, x):
+    return (x - model.standardization.means) / model.standardization.stds
+
 
 def test_project_at_column_means_is_zero(sample_pca, sample_matrix):
-    means_profile = {
-        name: float(sample_matrix.column(name).mean())
-        for name in sample_pca.metric_names
-    }
-    assert pc.project(sample_pca, means_profile) == pytest.approx(
+    means = _retained(sample_pca, sample_matrix).mean(axis=0)
+    assert _standardized(sample_pca, means) @ sample_pca.eigenvectors == pytest.approx(
         np.zeros(len(sample_pca.metric_names)), abs=1e-9
     )
 
 
 def test_project_training_row_matches_projections(sample_pca, sample_matrix):
     i = 3
-    profile = {
-        name: float(sample_matrix.column(name)[i]) for name in sample_pca.metric_names
-    }
-    assert pc.project(sample_pca, profile) == pytest.approx(
+    row = _retained(sample_pca, sample_matrix)[i]
+    assert _standardized(sample_pca, row) @ sample_pca.eigenvectors == pytest.approx(
         sample_pca.projections[i], abs=1e-10
     )
 
@@ -225,20 +232,13 @@ def test_project_training_row_matches_projections(sample_pca, sample_matrix):
 def test_project_one_std_above_mean_gives_loading_row(sample_pca, sample_matrix):
     # oracle by direct matrix arithmetic: z = e_k, so the projection equals
     # metric k's loadings across all PCs
-    dominant, _ = pc.dominant_metric(sample_pca, 0)
+    dominant, _ = stats.dominant_metric(sample_pca, 0)
     k = sample_pca.metric_names.index(dominant)
-    profile = {
-        name: float(sample_matrix.column(name).mean()) for name in sample_pca.metric_names
-    }
-    profile[dominant] += float(sample_pca.standardization.stds[k])
-    coords = pc.project(sample_pca, profile)
+    x = _retained(sample_pca, sample_matrix).mean(axis=0)
+    x[k] += sample_pca.standardization.stds[k]
+    coords = _standardized(sample_pca, x) @ sample_pca.eigenvectors
     assert coords[0] == pytest.approx(sample_pca.eigenvectors[k, 0], abs=1e-9)
     assert coords == pytest.approx(sample_pca.eigenvectors[k, :], abs=1e-9)
-
-
-def test_project_missing_metric(sample_pca):
-    with pytest.raises(AnalysisError, match="^metric '.+' is missing from the profile$"):
-        pc.project(sample_pca, {"gpu_util_pct": 1.0})
 
 
 # --- invariants --------------------------------------------------------------
@@ -259,12 +259,12 @@ def test_pca_reconstruction_and_spectrum(values):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            model = pc.fit_pca(matrix)
+            model = stats.fit_pca(matrix)
         except AnalysisError as exc:
             if str(exc) != "no metric column with nonzero variance":
                 raise
             return
-        z, _, _ = pc.standardize(matrix)
+        z, _, _ = stats.standardize(matrix)
     # reconstruction with all PCs kept
     assert np.abs(model.projections @ model.eigenvectors.T - z).max() < 1e-8
     # orthonormal eigenvector columns
@@ -302,10 +302,10 @@ def test_pca_scale_invariance(values, col, scale):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            base = pc.fit_pca(matrix)
-            other = pc.fit_pca(_matrix(scaled))
-            z_base, _, _ = pc.standardize(matrix)
-            z_other, _, _ = pc.standardize(_matrix(scaled))
+            base = stats.fit_pca(matrix)
+            other = stats.fit_pca(_matrix(scaled))
+            z_base, _, _ = stats.standardize(matrix)
+            z_other, _, _ = stats.standardize(_matrix(scaled))
         except AnalysisError as exc:
             if str(exc) != "no metric column with nonzero variance":
                 raise
@@ -330,8 +330,8 @@ def test_pca_row_permutation(values, rnd):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            base = pc.fit_pca(_matrix(values))
-            permuted = pc.fit_pca(
+            base = stats.fit_pca(_matrix(values))
+            permuted = stats.fit_pca(
                 _matrix(values[order], names=[f"w{i}" for i in order])
             )
         except AnalysisError as exc:
@@ -342,8 +342,8 @@ def test_pca_row_permutation(values, rnd):
     assert np.abs(base.eigenvalues - permuted.eigenvalues).max() < 1e-8
     # projections are z @ V with V orthogonal, so inter-row distances are
     # basis-independent: the permuted fit must reproduce them exactly
-    d_base = pc.pairwise_distances(base.projections[order])
-    d_perm = pc.pairwise_distances(permuted.projections)
+    d_base = cluster.pairwise_distances(base.projections[order])
+    d_perm = cluster.pairwise_distances(permuted.projections)
     assert np.abs(d_base - d_perm).max() < 1e-8
     if _well_separated(base.eigenvalues):
         # the largest-|component| sign rule can flip a column when a PC's two

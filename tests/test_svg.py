@@ -7,14 +7,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import perf_charter as pc
-from perf_charter import svg
+from perf_charter import cluster, stats, svg
 
 
 def test_dendrogram_svg_structure(sample_matrix):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        z, _, _ = pc.standardize(sample_matrix)
-    dd = pc.agglomerate(pc.pairwise_distances(z), names=sample_matrix.workload_names)
+        z, _, _ = stats.standardize(sample_matrix)
+    dd = cluster.agglomerate(cluster.pairwise_distances(z), names=sample_matrix.workload_names)
     out = svg.dendrogram_svg(dd, cut_height=2.0)
     assert out.startswith("<svg ")
     assert out.rstrip().endswith("</svg>")
@@ -28,7 +28,7 @@ def test_dendrogram_svg_rejects_non_finite_heights():
     # average linkage over distances near the float maximum overflows to inf
     dist = np.full((4, 4), 1.7e308)
     np.fill_diagonal(dist, 0.0)
-    dd = pc.agglomerate(dist, "average")
+    dd = cluster.agglomerate(dist, "average")
     assert dd.merges[-1].height == float("inf")
     with pytest.raises(ValueError, match="non-finite"):
         svg.dendrogram_svg(dd)
@@ -50,8 +50,7 @@ def test_roofline_svg_ceilings_and_points(default_machine):
 
 
 def test_gantt_svg_rows(sample_jobs):
-    cluster = pc.ClusterSpec(4)
-    schedule = pc.exact_schedule(sample_jobs, cluster)
+    schedule = pc.exact_schedule(sample_jobs, pc.ClusterSpec(4))
     out = svg.gantt_svg(schedule, 4)
     for job in sample_jobs:
         assert job.name in out
