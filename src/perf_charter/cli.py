@@ -6,8 +6,11 @@ character of a name, so each prints as one terminal line.  Machine outputs
 go to files in --out (JSON/CSV at full precision, SVG plots).  Each
 ``cmd_*`` renders its files (validating every schedule) and returns them with
 its report lines; only ``main`` writes the files, atomically, so a failing
-run leaves none, and then prints the report.  Inputs are UTF-8, with or
-without a byte-order mark.  Exit codes, each error class's ``exit_code``: 2
+run leaves none, and then prints the report.  ``roofline`` keeps one row
+list of ``(name, intensity, throughput, classification)``: its CSV, its SVG
+and its lazy report all read that list, and each file is rendered as one
+string with no whole-document copy.  Inputs are UTF-8, with or without a
+byte-order mark.  Exit codes, each error class's ``exit_code``: 2
 ingestion errors (unreadable, non-UTF-8 or invalid input) and output errors
 (an --out that cannot be written, or a closed stdout), 3 analysis errors
 (and a bare ``ValueError``), 4 search-space guard.
@@ -166,41 +169,44 @@ def cmd_characterize(args) -> tuple[dict[str, str], Iterable[str]]:
 
 
 def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
+    transaction_bytes = args.transaction_bytes
+    # checked once, before any file is read
+    if not transaction_bytes > 0:
+        raise ValueError("transaction_bytes must be > 0")
     machine_path = Path(args.machine) if args.machine else sample_path("machine.json")
     machine = roof.parse_machine(_read_text(machine_path))
     multi = len(args.kernels) > 1
-    points: list[roof.RooflinePoint] = []
+    # the one row list: (name, intensity, throughput), then the classification
+    # is added in place; the CSV, the SVG and the report all read it
+    rows: list[tuple] = []
     for path_str in args.kernels:
         path = Path(path_str)
         records = model.parse_kernels(_read_text(path), _detect_format(path))
         if not records:
             raise ParseError(f"{path}: no kernel records")
         if args.aggregate:
-            points.append(
-                roof.workload_point(records, args.transaction_bytes, name=path.stem)
-            )
+            rows.append(roof.workload_point(records, transaction_bytes, name=path.stem))
         else:
             prefix = f"{path.stem}/" if multi else ""
             for r in records:
-                points.append(
-                    roof.RooflinePoint(
-                        prefix + r.class_name,
-                        roof.intensity(r.flops, r.transactions, args.transaction_bytes),
-                        roof.throughput(r.flops, r.time_ms / 1e3) if r.time_ms > 0 else 0.0,
-                    )
-                )
+                rows.append((
+                    prefix + r.class_name,
+                    roof.intensity(r.flops, r.transactions, transaction_bytes),
+                    roof.throughput(r.flops, r.time_ms / 1e3) if r.time_ms > 0 else 0.0,
+                ))
 
-    # fixed for the run: every point is classified and capped at single precision
+    # fixed for the run, and looked up only after every file is parsed: every
+    # point is classified and capped at single precision
     ridge = machine.ridge("single")
     peak = machine.peak("single")
-    rows = []
-    for p in points:
-        rows.append((*p, roof.classify_at(ridge, p.intensity)))
-        if math.isfinite(p.intensity):
-            ceiling = roof.ceiling_at(peak, machine.mem_bandwidth_gbps, p.intensity)
-            if p.throughput > ceiling:
+    bandwidth = machine.mem_bandwidth_gbps
+    for i, (name, intensity, throughput) in enumerate(rows):
+        rows[i] = (name, intensity, throughput, roof.classify_at(ridge, intensity))
+        if math.isfinite(intensity):
+            ceiling = roof.ceiling_at(peak, bandwidth, intensity)
+            if throughput > ceiling:
                 print(
-                    _escape(f"note: {p.name} throughput {p.throughput:.6g} exceeds the "
+                    _escape(f"note: {name} throughput {throughput:.6g} exceeds the "
                             f"configured ceiling {ceiling:.6g} GFLOP/s"),
                     file=sys.stderr,
                 )
@@ -208,7 +214,7 @@ def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
     header = ("name", "intensity", "throughput", "classification")
     files = {
         "roofline.csv": _write_rows(header, rows, "csv"),
-        "roofline.svg": svg.roofline_svg(machine, points),
+        "roofline.svg": svg.roofline_svg(machine, rows),
     }
     # the report is lazy, so its lines are never all held at once
     return files, itertools.chain(

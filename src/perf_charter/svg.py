@@ -8,9 +8,10 @@ embedded, so identical inputs yield byte-identical files.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-from .roofline import MachineModel, RooflinePoint
+from .roofline import MachineModel
 from .sched import Schedule
 
 if TYPE_CHECKING:
@@ -128,22 +129,25 @@ def dendrogram_svg(dendrogram: Dendrogram, cut_height: float | None = None) -> s
         parts.append(
             _text(x_pos[leaf] + 4, y_of(0.0) + 8, dendrogram.leaves[leaf], rotate=60)
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
     return [10.0 ** k for k in range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)]
 
 
-def roofline_svg(machine: MachineModel, points: list[RooflinePoint]) -> str:
+def roofline_svg(machine: MachineModel, points: Sequence[tuple]) -> str:
+    """The roofline plot of ``points``: rows whose first three fields are
+    name, intensity and throughput (a ``RooflinePoint`` or a longer row).
+    Only points with a finite positive intensity and throughput are drawn."""
     width, height = 640, 440
-    finite = [p for p in points if math.isfinite(p.intensity) and p.intensity > 0 and p.throughput > 0]
+    finite = [p for p in points if 0 < p[1] < math.inf and p[2] > 0]
     ridges = [machine.ridge(p) for p in machine.peaks]
-    x_lo = min([0.05] + [p.intensity for p in finite]) / 2
-    x_hi = max([max(ridges) * 8] + [p.intensity * 2 for p in finite])
-    y_hi = max(list(machine.peaks.values()) + [p.throughput for p in finite]) * 2
-    y_lo = min([machine.mem_bandwidth_gbps * x_lo] + [p.throughput for p in finite]) / 2
+    x_lo = min([0.05] + [p[1] for p in finite]) / 2
+    x_hi = max([max(ridges) * 8] + [p[1] * 2 for p in finite])
+    y_hi = max(list(machine.peaks.values()) + [p[2] for p in finite]) * 2
+    y_lo = min([machine.mem_bandwidth_gbps * x_lo] + [p[2] for p in finite]) / 2
     if not all(0 < v < math.inf for v in (x_lo, x_hi, y_lo, y_hi)):
         raise ValueError("the roofline plot range overflows a float")
     margin_l, margin_r, margin_t, margin_b = 60, 20, 20, 48
@@ -189,13 +193,19 @@ def roofline_svg(machine: MachineModel, points: list[RooflinePoint]) -> str:
             f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(_text(x_of(x_hi) - 4, y_of(peak) - 4, f"{precision} {peak:.6g}", color=color, anchor="end"))
+    # one string per point, its circle and its label: the same coordinates
+    # as x_of/y_of and _text, without a call per coordinate
+    f, log10, colors = _f, math.log10, len(PALETTE)
     for i, p in enumerate(finite):
-        color = PALETTE[i % len(PALETTE)]
-        x, y = x_of(p.intensity), y_of(p.throughput)
-        parts.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="4" fill="{color}" stroke="#222"/>')
-        parts.append(_text(x + 6, y - 5, p.name))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        x = margin_l + plot_w * (log10(p[1]) - log_x_lo) / x_span
+        y = margin_t + plot_h * (1 - (log10(p[2]) - log_y_lo) / y_span)
+        parts.append(
+            f'<circle cx="{f(x)}" cy="{f(y)}" r="4" fill="{PALETTE[i % colors]}" stroke="#222"/>\n'
+            f'<text x="{f(x + 6)}" y="{f(y - 5)}" fill="#111" text-anchor="start">'
+            f"{escape(p[0])}</text>"
+        )
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def gantt_svg(schedule: Schedule, gpu_count: int) -> str:
@@ -238,8 +248,8 @@ def gantt_svg(schedule: Schedule, gpu_count: int) -> str:
             f'<rect x="{margin_l}" y="{_f(y - 10)}" width="12" height="12" fill="{color_of[job]}"/>'
         )
         parts.append(_text(margin_l + 18, y, job))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def scatter_svg(
@@ -280,5 +290,5 @@ def scatter_svg(
             f'<circle cx="{_f(x_of(x))}" cy="{_f(y_of(y))}" r="4" fill="{color}" stroke="#222"/>'
         )
         parts.append(_text(x_of(x) + 5, y_of(y) - 5, name))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -225,6 +227,39 @@ def test_roofline_transaction_bytes_halves(tmp_path):
         }
     for name, value in outs[32].items():
         assert outs[64][name] == value / 2
+
+
+def test_roofline_memory_stays_near_its_outputs(tmp_path, capsys):
+    # 10 kernel exports x 400 classes, shaped like the benchmark's JSON inputs.
+    # The traced peak was 4.4x the two output files while rendering kept a
+    # second row list and copied the whole SVG document; one row list and no
+    # copy bring it to 3.2x.
+    rng = random.Random(1)
+    paths = []
+    for f in range(10):
+        records = []
+        for c in range(400):
+            transactions = rng.randrange(10**8, 10**11)
+            intensity = rng.lognormvariate(2.0, 1.5)
+            flops = int(transactions * 32 * intensity)
+            seconds = flops / (min(14000.0, 800.0 * intensity) * 1e9 * rng.uniform(0.05, 0.9))
+            records.append({"class": f"k{c:03d}", "time_ms": round(seconds * 1e3, 6),
+                            "calls": rng.randrange(1, 100000), "unique": rng.randrange(1, 50),
+                            "flops": flops, "transactions": transactions})
+        path = tmp_path / f"bench{f:02d}.json"
+        path.write_text(json.dumps(records, indent=1))
+        paths.append(str(path))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert cli.main(["roofline", "--kernels", *paths, "--machine", MACHINE,
+                         "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    outputs = sum(f.stat().st_size for f in out.iterdir())
+    assert peak < 4.0 * outputs, (peak, outputs)
 
 
 def test_schedule_exact_p4(tmp_path):
@@ -632,6 +667,22 @@ _ELEVEN_JOBS = "name,t1_minutes,s2\n" + "".join(f"j{i},10,1.5\n" for i in range(
             ["roofline", "--kernels", KERNELS, "--machine", "m.json"],
             3, "error: m has no 'single' peak\n",
             id="no-single-peak",
+        ),
+        pytest.param(
+            # every kernel file is parsed before the machine's peaks are read
+            {"k.csv": "class,time_ms\nx,1\n",
+             "m.json": '{"name": "m", "peaks": {"double": 7000}, "mem_bandwidth_gbps": 800}'},
+            ["roofline", "--kernels", "k.csv", "--machine", "m.json"],
+            2, "error: line 1: header must be class,time_ms,calls,unique,flops,transactions\n",
+            id="kernel-error-before-machine-peak",
+        ),
+        pytest.param(
+            # checked before any file is read
+            {},
+            ["roofline", "--kernels", "missing.csv", "--machine", "missing.json",
+             "--transaction-bytes", "0"],
+            3, "error: transaction_bytes must be > 0\n",
+            id="transaction-bytes",
         ),
         pytest.param(
             {},

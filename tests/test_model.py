@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import sys
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import perf_charter as pc
 from cli_helpers import write_jobs, write_kernels, write_profiles
 from perf_charter.errors import MalformedRow, NonNumericCell, ParseError
+from perf_charter.model import _write_rows
 
 def _matrix(text, format="csv"):
     return pc.matrix_from_profiles(pc.parse_workload_profiles(text, format))
@@ -237,6 +240,52 @@ KERNEL_NAMES = st.text(
 def test_kernels_round_trip_property(records):
     for fmt in ("csv", "json"):
         assert pc.parse_kernels(write_kernels(records, fmt), fmt) == records
+
+
+def _csv_writer_text(header, rows):
+    """The text of a plain csv.writer loop (None as a blank cell), with every
+    cell quoted when any CR appears: the reference ``_write_rows`` must equal."""
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n", quoting=quoting)
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = out.getvalue()
+        if "\r" not in text:
+            return text
+    return text
+
+
+CSV_CELLS = st.one_of(
+    st.text(st.sampled_from(',"\n\r ab'), max_size=4),
+    st.just(""),
+    st.none(),
+    st.integers(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, math.inf, -math.inf, 1e-300]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(st.text(st.sampled_from(',"\n\r ab'), min_size=1, max_size=3),
+             min_size=width, max_size=width),
+    st.lists(st.lists(CSV_CELLS, min_size=width, max_size=width).map(tuple), max_size=5),
+)))
+def test_write_rows_csv_equals_csv_writer(table):
+    header, rows = table
+    assert _write_rows(header, rows, "csv") == _csv_writer_text(header, rows)
+
+
+@pytest.mark.parametrize("header, rows, text", [
+    # csv quotes a row of one empty cell, or it would read as a blank line
+    (("a",), [("",), (None,), ("x",)], 'a\n""\n""\nx\n'),
+    # a short row's missing comma does not hide the comma of a longer row's cell
+    (("a", "b"), [("x",), ("y,z", "w")], 'a,b\nx\n"y,z",w\n'),
+])
+def test_write_rows_csv_edge_cases(header, rows, text):
+    assert _write_rows(header, rows, "csv") == text == _csv_writer_text(header, rows)
 
 
 def test_kernel_summary_configurable_bytes(sample_kernels):

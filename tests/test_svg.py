@@ -49,6 +49,35 @@ def test_roofline_svg_ceilings_and_points(default_machine):
     assert "arithmetic intensity" in out
 
 
+def test_roofline_svg_reads_points_and_rows_alike(default_machine):
+    points = [
+        pc.RooflinePoint("relu", 1.27, 436.29),
+        pc.RooflinePoint("a<b>&c", 208.98, 6457.51),
+        pc.RooflinePoint("inf", float("inf"), 10.0),  # skipped in the plot
+        pc.RooflinePoint("zero", 0.0, 0.0),
+    ] + [pc.RooflinePoint(f"k{i}", 0.5 * (i + 1), 40.0 * (i + 1)) for i in range(12)]
+    rows = [(*p, "memory_bound") for p in points]
+    out = svg.roofline_svg(default_machine, points)
+    assert svg.roofline_svg(default_machine, rows) == out
+    assert "a&lt;b&gt;&amp;c" in out
+
+
+def test_every_emitter_ends_in_one_newline(sample_matrix, sample_jobs, default_machine):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        z, _, _ = stats.standardize(sample_matrix)
+    names = sample_matrix.workload_names
+    outputs = [
+        svg.dendrogram_svg(cluster.agglomerate(cluster.pairwise_distances(z), names=names)),
+        svg.roofline_svg(default_machine, [pc.RooflinePoint("relu", 1.27, 436.29)]),
+        svg.gantt_svg(pc.exact_schedule(sample_jobs, pc.ClusterSpec(4)), 4),
+        svg.scatter_svg(names, [float(v) for v in z[:, 0]], [float(v) for v in z[:, 1]],
+                        "x", "y"),
+    ]
+    for out in outputs:
+        assert out.endswith("\n</svg>\n")
+
+
 def test_gantt_svg_rows(sample_jobs):
     schedule = pc.exact_schedule(sample_jobs, pc.ClusterSpec(4))
     out = svg.gantt_svg(schedule, 4)
