@@ -170,14 +170,16 @@ def cmd_characterize(args) -> tuple[dict[str, str], Iterable[str]]:
 
 def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
     transaction_bytes = args.transaction_bytes
-    # checked once, before any file is read
+    # checked here, before any file is read, so that this error wins over
+    # input errors; roof.intensity and model.kernel_summary keep their own
+    # check for library callers
     if not transaction_bytes > 0:
         raise ValueError("transaction_bytes must be > 0")
     machine_path = Path(args.machine) if args.machine else sample_path("machine.json")
     machine = roof.parse_machine(_read_text(machine_path))
     multi = len(args.kernels) > 1
-    # the one row list: (name, intensity, throughput), then the classification
-    # is added in place; the CSV, the SVG and the report all read it
+    # the one row list, read by the CSV, the SVG and the report; each row's
+    # classification is added in place once every file is parsed
     rows: list[tuple] = []
     for path_str in args.kernels:
         path = Path(path_str)

@@ -234,24 +234,11 @@ def _load_json(text: str):
 def _write_rows(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:
     """The inverse of ``_read_rows``: ``rows`` are tuples in ``header`` order."""
     if format == "csv":
-        rows = [header, *rows]
-        # each cell as csv.writer writes it unquoted (str, None blank); that
-        # text stands when counting proves that no cell needed quoting: every
-        # row has the header's two or more cells (csv quotes a lone empty
-        # cell), and no cell holds a comma, a newline, a quote or a CR
-        width = len(header)
-        lines = [",".join(["" if v is None else str(v) for v in row]) for row in rows]
-        lines.append("")
-        text = "\n".join(lines)
-        del lines
-        if (width > 1 and all(len(row) == width for row in rows)
-                and text.count(",") == (width - 1) * len(rows)
-                and text.count("\n") == len(rows)
-                and '"' not in text and "\r" not in text):
-            return text
+        rows = list(rows)
         for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
             out = io.StringIO()
             writer = csv.writer(out, lineterminator="\n", quoting=quoting)
+            writer.writerow(header)
             writer.writerows(rows)
             text = out.getvalue()
             # csv quotes "\n", the line terminator, but not a lone "\r", which

@@ -193,16 +193,12 @@ def roofline_svg(machine: MachineModel, points: Sequence[tuple]) -> str:
             f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(_text(x_of(x_hi) - 4, y_of(peak) - 4, f"{precision} {peak:.6g}", color=color, anchor="end"))
-    # one string per point, its circle and its label: the same coordinates
-    # as x_of/y_of and _text, without a call per coordinate
-    f, log10, colors = _f, math.log10, len(PALETTE)
-    for i, p in enumerate(finite):
-        x = margin_l + plot_w * (log10(p[1]) - log_x_lo) / x_span
-        y = margin_t + plot_h * (1 - (log10(p[2]) - log_y_lo) / y_span)
+    # one string per point, its circle and its label
+    for i, (name, intensity, throughput, *_) in enumerate(finite):
+        x, y = x_of(intensity), y_of(throughput)
         parts.append(
-            f'<circle cx="{f(x)}" cy="{f(y)}" r="4" fill="{PALETTE[i % colors]}" stroke="#222"/>\n'
-            f'<text x="{f(x + 6)}" y="{f(y - 5)}" fill="#111" text-anchor="start">'
-            f"{escape(p[0])}</text>"
+            f'<circle cx="{_f(x)}" cy="{_f(y)}" r="4" fill="{PALETTE[i % len(PALETTE)]}" '
+            f'stroke="#222"/>\n' + _text(x + 6, y - 5, name)
         )
     parts.append("</svg>\n")
     return "\n".join(parts)

@@ -281,7 +281,7 @@ def test_write_rows_csv_equals_csv_writer(table):
 @pytest.mark.parametrize("header, rows, text", [
     # csv quotes a row of one empty cell, or it would read as a blank line
     (("a",), [("",), (None,), ("x",)], 'a\n""\n""\nx\n'),
-    # a short row's missing comma does not hide the comma of a longer row's cell
+    # a short row stays short, and a comma inside a cell is quoted
     (("a", "b"), [("x",), ("y,z", "w")], 'a,b\nx\n"y,z",w\n'),
 ])
 def test_write_rows_csv_edge_cases(header, rows, text):
