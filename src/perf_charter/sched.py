@@ -10,17 +10,21 @@ Five schedulers over the same Job/ClusterSpec inputs:
   permutation_search   minimum-makespan list schedule over all width vectors
                        x priority permutations (the measured-scalability search);
                        skips width vectors whose lower bound cannot beat the
-                       best so far and stops each order once it reaches it
+                       best so far and searches each other one depth first
+                       over the sets of jobs that start together, meeting
+                       each distinct list schedule once
   exact_schedule       branch-and-bound over semi-active schedules, each job
                        at its earliest feasible start; may insert deliberate
                        idle gaps, returns the provably minimal makespan
 
-One simulation, ``_simulate_list``, serves both ``list_schedule`` and the
-permutation search's kernel.  Jobs are moldable (width fixed at launch) and
-non-preemptive; no interpolation between measured widths.  GPU identity
-never affects makespans; every scheduler decides widths and start times only
-and hands them to ``_placed``, the one GPU-id rule: each job takes the
-lowest-numbered GPUs that no earlier-starting job holds over its interval.
+One simulation, ``_simulate_list``, serves ``list_schedule`` and the
+permutation search's pick among the orders of its winning width vector; the
+search itself does the same float operations.  Jobs are moldable (width
+fixed at launch) and non-preemptive; no interpolation between measured
+widths.  GPU identity never affects makespans; every scheduler decides
+widths and start times only and hands them to ``_placed``, the one GPU-id
+rule: each job takes the lowest-numbered GPUs that no earlier-starting job
+holds over its interval.
 Every scheduler is plain, single-threaded Python, so a result depends on its
 inputs alone.
 """
@@ -228,27 +232,112 @@ def _simulate_list(
         running = still
 
 
+def _least_list_makespan(
+    ws: Sequence[int], rts: Sequence[float], gpu_count: int, best: float
+) -> tuple[float, int]:
+    """Least greedy-list makespan over every priority order, if below ``best``.
+
+    Returns ``(makespan, nodes)``; the makespan is ``best`` itself when no
+    order beats it.  At each event a list schedule starts a set of waiting jobs that
+    fit, after which no waiting job fits: a maximal start set.  Conversely,
+    any sequence of maximal start sets is the list schedule of the order
+    that lists each event's set before the next one's.  So a depth-first
+    search over maximal start sets meets every list schedule once, where
+    the orders meet it once per order that yields it (the parallel
+    schedule-generation scheme; Kolisch, EJOR 1996).  Each event is one
+    node.  Its float operations are ``_simulate_list``'s: a job starts at
+    the event time ``t`` and ends at ``t + rts[j]``, and the next event is
+    the least running end, which releases every job ending then, also one
+    whose end rounded to its start.  A node is abandoned once an end so
+    far reaches ``best``, or once a waiting job, which starts at ``t`` or
+    later, would.  Jobs are bits of the masks.
+    """
+    if max(rts) >= best:
+        return best, 0
+    n = len(ws)
+    # per mask: its width, least width (P + 1 if empty) and longest runtime
+    wsum, minw, maxrt = [0], [gpu_count + 1], [0.0]
+    for w, rt in zip(ws, rts):
+        wsum += [x + w for x in wsum]
+        minw += [x if x < w else w for x in minw]
+        maxrt += [x if x > rt else rt for x in maxrt]
+    start_sets: dict[tuple[int, int], list[tuple[int, list[int], int]]] = {}
+    nodes = 0
+
+    def maximal_sets(waiting: int, free: int) -> list[tuple[int, list[int], int]]:
+        """``(mask, jobs, width)`` of each maximal start set, memoised."""
+        sets = []
+        sub = waiting
+        while True:
+            used = wsum[sub]
+            if used <= free and minw[waiting ^ sub] > free - used:
+                sets.append((sub, [j for j in range(n) if sub >> j & 1], used))
+            if not sub:
+                break
+            sub = (sub - 1) & waiting
+        start_sets[waiting, free] = sets
+        return sets
+
+    def event(t: float, free: int, running: list, waiting: int, makespan: float):
+        nonlocal best, nodes
+        nodes += 1
+        sets = start_sets.get((waiting, free)) or maximal_sets(waiting, free)
+        for sub, js, used in sets:
+            m = makespan
+            new = running.copy()
+            for j in js:
+                e = t + rts[j]
+                new.append((e, ws[j]))
+                if e > m:
+                    m = e
+            if m >= best:
+                continue
+            rest = waiting ^ sub
+            if not rest:
+                best = m
+                continue
+            # every width fits an idle cluster, so something is running
+            t_next = min(new)[0]
+            if t_next + maxrt[rest] >= best:
+                continue
+            f = free - used
+            still = []
+            for run in new:
+                if run[0] == t_next:
+                    f += run[1]
+                else:
+                    still.append(run)
+            event(t_next, f, still, rest, m)
+
+    event(0.0, gpu_count, [], (1 << n) - 1, 0.0)
+    return best, nodes
+
+
 def _best_list_makespan(
     runtimes: list[tuple[float, ...]],
     widths: list[tuple[int, ...]],
     perms: list[tuple[int, ...]],
     gpu_count: int,
-) -> tuple[float, int, int, int]:
+) -> tuple[float, int, int, int, int]:
     """Least greedy-list makespan over every (width vector, priority order).
 
     ``widths[c]``/``runtimes[c]`` give each job's width and runtime in width
     vector ``c``; ``perms`` are the priority orders.  Returns ``(makespan,
-    combo, perm, simulated)``: the first strict minimum in (combo, perm)
-    enumeration order and the number of width vectors simulated.  A width
-    vector is skipped when no list schedule of it can beat the incumbent:
-    none ends before its longest job, nor before its GPU time spread over
-    every GPU.  The margin keeps the rounding of that sum from skipping a
-    vector that could still win.  An order is abandoned as soon as it
-    reaches the incumbent (``_simulate_list``).
+    combo, perm, simulated, nodes)``: the first strict minimum in (combo,
+    perm) enumeration order, the number of width vectors searched and the
+    search nodes they took; ``(inf, -1, -1, ...)`` when every makespan
+    overflows.  A width vector is skipped when no list schedule of it can
+    beat the incumbent: none ends before its longest job, nor before its GPU
+    time spread over every GPU.  The margin keeps the rounding of that sum
+    from skipping a vector that could still win.  Any other vector is
+    searched over its maximal start sets (``_least_list_makespan``) and
+    becomes the incumbent only if it beats it, so the winner is the first
+    vector to reach the least makespan.  Its first order to reach it is
+    then found by simulating its orders in turn, each abandoned once it
+    ends above that makespan (``_simulate_list``).
     """
     best_m, best_c, best_p = math.inf, -1, -1
-    simulated = 0
-    started: list[tuple[float, int, int, float]] = []
+    simulated = nodes = 0
     for c, (rts, ws) in enumerate(zip(runtimes, widths)):
         # area / P summed term by term stays at most the makespan, so it
         # cannot overflow while the makespan is finite
@@ -256,12 +345,19 @@ def _best_list_makespan(
         if bound >= best_m * _BOUND_MARGIN:
             continue
         simulated += 1
-        for p, order in enumerate(perms):
-            makespan = _simulate_list(order, ws, rts, gpu_count, best_m, started)
+        makespan, searched = _least_list_makespan(ws, rts, gpu_count, best_m)
+        nodes += searched
+        if makespan < best_m:
+            best_m, best_c = makespan, c
+    if best_c >= 0:
+        rts, ws = runtimes[best_c], widths[best_c]
+        cutoff = math.nextafter(best_m, math.inf)
+        started: list[tuple[float, int, int, float]] = []
+        for best_p, order in enumerate(perms):
+            if _simulate_list(order, ws, rts, gpu_count, cutoff, started) == best_m:
+                break
             started.clear()
-            if makespan < best_m:
-                best_m, best_c, best_p = makespan, c, p
-    return best_m, best_c, best_p, simulated
+    return best_m, best_c, best_p, simulated, nodes
 
 
 def permutation_search(
@@ -270,12 +366,14 @@ def permutation_search(
     """Exhaustive search over (width vector) x (priority permutation).
 
     The space holds prod|options| * n! candidates, so n is guarded by
-    ``limit`` and the returned count is that size.  ``_best_list_makespan``
-    skips each width vector whose lower bound cannot beat the best makespan
-    so far and abandons each order once it reaches it; neither changes the
-    result.  Ties resolve to the lexicographically smallest (width vector,
-    permutation), and the winner is rebuilt with ``list_schedule``, which
-    must agree on the makespan.
+    ``limit`` and the returned count is that size, not the work done.
+    ``_best_list_makespan`` skips each width vector whose lower bound cannot
+    beat the best makespan so far and searches each other one over its
+    maximal start sets, meeting each distinct list schedule once instead of
+    once per order; neither changes the result.  Ties resolve to the
+    lexicographically smallest (width vector, permutation), and the winner
+    is rebuilt with ``list_schedule``, which must agree on the makespan.
+    An AnalysisError when every candidate's end overflows a float.
     """
     n = len(jobs)
     if n == 0:
@@ -290,9 +388,11 @@ def permutation_search(
     runtimes = [tuple(runtime(job, w) for job, w in zip(jobs, c)) for c in combos]
     perms = list(itertools.permutations(range(n)))
 
-    best_m, best_c, best_p, _ = _best_list_makespan(
+    best_m, best_c, best_p, _, _ = _best_list_makespan(
         runtimes, combos, perms, cluster.gpu_count
     )
+    if best_c < 0:
+        raise AnalysisError("a job's end time overflows a float")
     width_map = {job.name: w for job, w in zip(jobs, combos[best_c])}
     ordered = [jobs[j] for j in perms[best_p]]
     schedule = list_schedule(ordered, width_map, cluster)

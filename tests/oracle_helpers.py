@@ -60,19 +60,26 @@ def brute_force_makespan(jobs, gpu_count: int, allowed_widths) -> float:
     best = [math.inf]
 
     def capacity_ok(s: float, e: float, w: int) -> bool:
-        points = [s] + [ps for (_, ps, _) in placed if s < ps < e]
-        for t in points:
-            used = w
-            for (pw, ps, pe) in placed:
-                if ps <= t < pe:
-                    used += pw
-            if used > gpu_count:
+        # usage only rises at a start, so its peak over [s, e) is at s or at
+        # a placed start inside (s, e).  One pass over placed counts the
+        # usage at s and collects those starts; each gets a pass of its own.
+        used = w
+        inside = []
+        for pw, ps, pe in placed:
+            if ps <= s < pe:
+                used += pw
+            elif s < ps < e:
+                inside.append(ps)
+        if used > gpu_count:
+            return False
+        for t in inside:
+            if w + sum([pw for (pw, ps, pe) in placed if ps <= t < pe]) > gpu_count:
                 return False
         return True
 
-    def rec(remaining: frozenset, last_start: float):
+    def rec(remaining: frozenset, last_start: float, latest_end: float):
         if not remaining:
-            best[0] = min(best[0], max((e for (_, _, e) in placed), default=0.0))
+            best[0] = min(best[0], latest_end)
             return
         starts = sorted({0.0} | {e for (_, _, e) in placed})
         for j in remaining:
@@ -81,13 +88,14 @@ def brute_force_makespan(jobs, gpu_count: int, allowed_widths) -> float:
                 for s in starts:
                     if s < last_start:
                         continue
-                    if not capacity_ok(s, s + rt, w):
+                    e = s + rt
+                    if not capacity_ok(s, e, w):
                         continue
-                    placed.append((w, s, s + rt))
-                    rec(remaining - {j}, s)
+                    placed.append((w, s, e))
+                    rec(remaining - {j}, s, e if e > latest_end else latest_end)
                     placed.pop()
 
-    rec(frozenset(range(n)), 0.0)
+    rec(frozenset(range(n)), 0.0, 0.0)
     return best[0]
 
 

@@ -272,14 +272,51 @@ def test_pruned_kernel_equals_unpruned_oracle(instance):
     assert sched._best_list_makespan(*inputs)[:3] == best_list_makespan(*inputs)
 
 
+@st.composite
+def release_edge_instances(draw):
+    # the event rules the search must keep: a runtime below the last-bit
+    # spacing of a long one (100 + 1e-15 rounds to 100, so that job ends as
+    # it starts and its GPUs come back at once), twin jobs, and ends that
+    # overflow to inf (1e308 + 1e308)
+    gpus = draw(st.integers(1, 4))
+    cluster = pc.ClusterSpec(gpus)
+    n = draw(st.integers(1, 5))
+    jobs = []
+    for i in range(n):
+        if jobs and draw(st.booleans()):
+            twin = draw(st.sampled_from(jobs))
+            jobs.append(_job(f"j{i}", twin.t1_minutes, dict(twin.speedup)))
+            continue
+        supported = draw(
+            st.sets(st.sampled_from(cluster.allowed_widths[1:]), max_size=_OPTIONS_CAP[n] - 1)
+            if gpus > 1 else st.just(set())
+        )
+        speedup = {w: draw(st.sampled_from([1.0, 2.0])) for w in supported}
+        jobs.append(_job(f"j{i}", draw(st.sampled_from([1e-15, 100.0, 200.0, 1e308])), speedup))
+    return jobs, cluster
+
+
+@settings(max_examples=200, deadline=None)
+@given(release_edge_instances())
+@example((_ROUNDING_JOBS, pc.ClusterSpec(1)))
+@example(([_job(f"j{i}", 1e308, {}) for i in range(3)], pc.ClusterSpec(2)))
+def test_kernel_equals_unpruned_oracle_at_release_edges(instance):
+    inputs = _kernel_inputs(*instance)
+    assert sched._best_list_makespan(*inputs)[:3] == best_list_makespan(*inputs)
+
+
 @pytest.mark.parametrize(
     "gpus, combos, expected",
-    [(2, 64, (2357.4375, 16, 6, 20)), (4, 729, (1300.203094777563, 171, 0, 138))],
+    [
+        (2, 64, (2357.4375, 16, 6, 20, 1400)),
+        (4, 729, (1300.203094777563, 171, 0, 138, 2929)),
+    ],
 )
 def test_kernel_skips_width_vectors_that_cannot_win(sample_jobs, gpus, combos, expected):
     # the bundled jobs: (makespan, combo, perm) as the unpruned search finds
-    # them, from only 20 of 64 and 138 of 729 width vectors simulated; the
-    # count depends on the jobs alone, so turning the pruning off fails here
+    # them, from only 20 of 64 and 138 of 729 width vectors searched, in
+    # 1400 and 2929 search nodes; the counts depend on the jobs alone, so
+    # turning the pruning off fails here
     inputs = _kernel_inputs(sample_jobs, pc.ClusterSpec(gpus))
     assert len(inputs[1]) == combos
     assert sched._best_list_makespan(*inputs) == expected
