@@ -238,54 +238,46 @@ def _least_list_makespan(
     """Least greedy-list makespan over every priority order, if below ``best``.
 
     Returns ``(makespan, nodes)``; the makespan is ``best`` itself when no
-    order beats it.  At each event a list schedule starts a set of waiting jobs that
-    fit, after which no waiting job fits: a maximal start set.  Conversely,
-    any sequence of maximal start sets is the list schedule of the order
-    that lists each event's set before the next one's.  So a depth-first
-    search over maximal start sets meets every list schedule once, where
-    the orders meet it once per order that yields it (the parallel
-    schedule-generation scheme; Kolisch, EJOR 1996).  Each event is one
-    node.  Its float operations are ``_simulate_list``'s: a job starts at
-    the event time ``t`` and ends at ``t + rts[j]``, and the next event is
-    the least running end, which releases every job ending then, also one
-    whose end rounded to its start.  A node is abandoned once an end so
-    far reaches ``best``, or once a waiting job, which starts at ``t`` or
-    later, would.  Jobs are bits of the masks.
+    order beats it.  At each event a list schedule starts a set of waiting
+    jobs that fit, after which no waiting job fits: a maximal start set.
+    Conversely, any sequence of maximal start sets is the list schedule of
+    the order that lists each event's set before the next one's.  So a
+    depth-first search over maximal start sets meets every list schedule
+    once, where the orders meet it once per order that yields it (the
+    parallel schedule-generation scheme; Kolisch, EJOR 1996).  Each event
+    visited is one node.  The float operations are ``_simulate_list``'s: a
+    job starts at the event time ``t`` and ends at ``t + rts[j]``, and the
+    next event is the least running end, which releases every job ending
+    then, also one whose end rounded to its start.  An event is abandoned
+    once an end so far reaches ``best``, or once a waiting job, which
+    starts at ``t`` or later, would.  Jobs are the bits of a mask.
     """
     if max(rts) >= best:
         return best, 0
-    n = len(ws)
-    # per mask: its width, least width (P + 1 if empty) and longest runtime
-    wsum, minw, maxrt = [0], [gpu_count + 1], [0.0]
-    for w, rt in zip(ws, rts):
+    # per mask: its jobs, their width, least width (P + 1 if none) and
+    # longest runtime
+    members, wsum, minw, maxrt = [()], [0], [gpu_count + 1], [0.0]
+    for j, (w, rt) in enumerate(zip(ws, rts)):
+        members += [js + (j,) for js in members]
         wsum += [x + w for x in wsum]
         minw += [x if x < w else w for x in minw]
         maxrt += [x if x > rt else rt for x in maxrt]
-    start_sets: dict[tuple[int, int], list[tuple[int, list[int], int]]] = {}
+    start_sets: dict[tuple[int, int], list[int]] = {}
     nodes = 0
-
-    def maximal_sets(waiting: int, free: int) -> list[tuple[int, list[int], int]]:
-        """``(mask, jobs, width)`` of each maximal start set, memoised."""
-        sets = []
-        sub = waiting
-        while True:
-            used = wsum[sub]
-            if used <= free and minw[waiting ^ sub] > free - used:
-                sets.append((sub, [j for j in range(n) if sub >> j & 1], used))
-            if not sub:
-                break
-            sub = (sub - 1) & waiting
-        start_sets[waiting, free] = sets
-        return sets
-
-    def event(t: float, free: int, running: list, waiting: int, makespan: float):
-        nonlocal best, nodes
+    # events to visit: (time, free GPUs, running (end, width), waiting, makespan)
+    stack = [(0.0, gpu_count, [], len(wsum) - 1, 0.0)]
+    while stack:
+        t, free, running, waiting, makespan = stack.pop()
+        if makespan >= best or t + maxrt[waiting] >= best:
+            continue  # the incumbent fell after this event was pushed
         nodes += 1
-        sets = start_sets.get((waiting, free)) or maximal_sets(waiting, free)
-        for sub, js, used in sets:
+        sets = start_sets.get((waiting, free))
+        if sets is None:
+            sets = start_sets[waiting, free] = _maximal_sets(waiting, free, wsum, minw)
+        for sub in sets:
             m = makespan
             new = running.copy()
-            for j in js:
+            for j in members[sub]:
                 e = t + rts[j]
                 new.append((e, ws[j]))
                 if e > m:
@@ -300,17 +292,29 @@ def _least_list_makespan(
             t_next = min(new)[0]
             if t_next + maxrt[rest] >= best:
                 continue
-            f = free - used
+            f = free - wsum[sub]
             still = []
             for run in new:
                 if run[0] == t_next:
                     f += run[1]
                 else:
                     still.append(run)
-            event(t_next, f, still, rest, m)
-
-    event(0.0, gpu_count, [], (1 << n) - 1, 0.0)
+            stack.append((t_next, f, still, rest, m))
     return best, nodes
+
+
+def _maximal_sets(waiting: int, free: int, wsum: list[int], minw: list[int]) -> list[int]:
+    """Each subset of ``waiting`` whose jobs fit in ``free`` GPUs and leave
+    too few for any other waiting job, as a mask."""
+    sets = []
+    sub = waiting
+    while True:
+        used = wsum[sub]
+        if used <= free and minw[waiting ^ sub] > free - used:
+            sets.append(sub)
+        if not sub:
+            return sets
+        sub = (sub - 1) & waiting
 
 
 def _best_list_makespan(

@@ -301,21 +301,25 @@ def release_edge_instances(draw):
 @example((_ROUNDING_JOBS, pc.ClusterSpec(1)))
 @example(([_job(f"j{i}", 1e308, {}) for i in range(3)], pc.ClusterSpec(2)))
 def test_kernel_equals_unpruned_oracle_at_release_edges(instance):
-    inputs = _kernel_inputs(*instance)
+    runtimes, combos, perms, gpus = inputs = _kernel_inputs(*instance)
     assert sched._best_list_makespan(*inputs)[:3] == best_list_makespan(*inputs)
+    # each width vector's own least makespan too, which no incumbent hides
+    for rts, ws in zip(runtimes, combos):
+        least, _ = sched._least_list_makespan(ws, rts, gpus, math.inf)
+        assert least == best_list_makespan([rts], [ws], perms, gpus)[0]
 
 
 @pytest.mark.parametrize(
     "gpus, combos, expected",
     [
-        (2, 64, (2357.4375, 16, 6, 20, 1400)),
-        (4, 729, (1300.203094777563, 171, 0, 138, 2929)),
+        (2, 64, (2357.4375, 16, 6, 20, 1407)),
+        (4, 729, (1300.203094777563, 171, 0, 138, 2935)),
     ],
 )
 def test_kernel_skips_width_vectors_that_cannot_win(sample_jobs, gpus, combos, expected):
     # the bundled jobs: (makespan, combo, perm) as the unpruned search finds
     # them, from only 20 of 64 and 138 of 729 width vectors searched, in
-    # 1400 and 2929 search nodes; the counts depend on the jobs alone, so
+    # 1407 and 2935 search nodes; the counts depend on the jobs alone, so
     # turning the pruning off fails here
     inputs = _kernel_inputs(sample_jobs, pc.ClusterSpec(gpus))
     assert len(inputs[1]) == combos
