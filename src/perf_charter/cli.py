@@ -6,10 +6,11 @@ character of a name, so each prints as one terminal line.  Machine outputs
 go to files in --out (JSON/CSV at full precision, SVG plots).  Each
 ``cmd_*`` renders its files (validating every schedule) and returns them with
 its report lines; only ``main`` writes the files, atomically, so a failing
-run leaves none, and then prints the report.  ``roofline`` keeps one row
-list of ``(name, intensity, throughput, classification)``: its CSV, its SVG
-and its lazy report all read that list, and each file is rendered as one
-string with no whole-document copy.  Inputs are UTF-8, with or without a
+run leaves none, and then writes the report to stdout, one ``write`` per
+line.  ``roofline`` keeps one row list of ``(name, intensity, throughput,
+classification)``: its CSV (``_roofline_csv``, one f-string per row), its
+SVG and its lazy report all read that list, and each file is rendered as
+one string with no whole-document copy.  Inputs are UTF-8, with or without a
 byte-order mark.  Exit codes, each error class's ``exit_code``: 2
 ingestion errors (unreadable, non-UTF-8 or invalid input) and output errors
 (an --out that cannot be written, or a closed stdout), 3 analysis errors
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import itertools
 import math
 import os
@@ -33,7 +35,7 @@ from . import roofline as roof
 from . import sched
 from .datafiles import sample_path
 from .errors import OutputError, ParseError, PerfCharterError
-from .model import _dump_json, _write_rows
+from .model import _dump_json
 
 
 def _detect_format(path: Path) -> str:
@@ -213,9 +215,8 @@ def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
                     file=sys.stderr,
                 )
 
-    header = ("name", "intensity", "throughput", "classification")
     files = {
-        "roofline.csv": _write_rows(header, rows, "csv"),
+        "roofline.csv": _roofline_csv(rows),
         "roofline.svg": svg.roofline_svg(machine, rows),
     }
     # the report is lazy, so its lines are never all held at once
@@ -224,6 +225,35 @@ def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
         (f"  {n}: intensity {i:.6g} FLOPs/B, throughput {t:.6g} GFLOP/s -> {c}"
          for n, i, t, c in rows),
     )
+
+
+def _roofline_csv(rows: list[tuple]) -> str:
+    """roofline.csv for ``(name, intensity, throughput, classification)``
+    rows: the text ``csv.writer`` writes, one f-string per row.
+
+    Only a name can need quoting: a float's ``repr`` and the three labels
+    hold no ``,``, ``"``, CR or LF.  So the form is chosen from the names
+    before any cell is formatted.  csv quotes LF, its line terminator, but
+    not a lone CR, which a reader takes for a line break: with a CR in any
+    name every cell is quoted, the header too; else a name holding ``,``,
+    ``"`` or LF is, by csv's minimal rule.  A quoted name's ``"`` is doubled.
+    """
+    out = io.StringIO()
+    write = out.write
+    if any("\r" in row[0] for row in rows):
+        write('"name","intensity","throughput","classification"\n')
+        for name, intensity, throughput, classification in rows:
+            name = name.replace('"', '""')
+            write(f'"{name}","{intensity!r}","{throughput!r}","{classification}"\n')
+    else:
+        write("name,intensity,throughput,classification\n")
+        for name, intensity, throughput, classification in rows:
+            if '"' in name:
+                name = '"' + name.replace('"', '""') + '"'
+            elif "," in name or "\n" in name:
+                name = f'"{name}"'
+            write(f"{name},{intensity!r},{throughput!r},{classification}\n")
+    return out.getvalue()
 
 
 def cmd_schedule(args) -> tuple[dict[str, str], Iterable[str]]:
@@ -334,8 +364,10 @@ def main(argv=None) -> int:
             files, report = args.func(args)
             _write_outputs(args.out, files)
             try:
+                # one write per line, where print makes two
+                write = sys.stdout.write
                 for line in report:
-                    print(_escape(line))
+                    write(_escape(line) + "\n")
                 sys.stdout.flush()
             except OSError as exc:
                 # with stdout on devnull, the flush at exit cannot fail again

@@ -22,10 +22,8 @@ define ``__new__``, and ``_checked_make`` sends its ``_make``, and so
 ``_replace``, through that ``__new__``.  A dict field is the record's own
 copy.
 
-Output has one path too: every table the CLI writes goes through
-``_write_rows`` (CSV quoted as needed with None blank, or JSON objects that
-omit None), and every JSON document through ``_dump_json``, which refuses
-non-finite floats.
+Every JSON document the CLI writes goes through ``_dump_json``, which
+refuses non-finite floats.
 
 All parsers take decoded text; UTF-8 decoding and path handling live in the
 CLI.  Everything here is pure over immutable inputs.
@@ -40,7 +38,7 @@ import json
 import math
 import sys
 import warnings
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import MalformedRow, NonNumericCell, ParseError
@@ -229,28 +227,6 @@ def _load_json(text: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise MalformedRow(getattr(exc, "lineno", 1), f"invalid JSON: {exc}") from None
-
-
-def _write_rows(header: Sequence[str], rows: Iterable[tuple], format: str) -> str:
-    """The inverse of ``_read_rows``: ``rows`` are tuples in ``header`` order."""
-    if format == "csv":
-        rows = list(rows)
-        for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
-            out = io.StringIO()
-            writer = csv.writer(out, lineterminator="\n", quoting=quoting)
-            writer.writerow(header)
-            writer.writerows(rows)
-            text = out.getvalue()
-            # csv quotes "\n", the line terminator, but not a lone "\r", which
-            # a reader takes for a line break; then every cell is quoted
-            if "\r" not in text:
-                break
-        return text
-    if format == "json":
-        return _dump_json(
-            [{k: v for k, v in zip(header, row) if v is not None} for row in rows]
-        )
-    raise ValueError(f"unknown format {format!r}")
 
 
 def _dump_json(obj) -> str:

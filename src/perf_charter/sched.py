@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AnalysisError, SearchSpaceTooLarge
 from .model import Job, _checked_make
@@ -320,25 +320,26 @@ def _maximal_sets(waiting: int, free: int, wsum: list[int], minw: list[int]) -> 
 def _best_list_makespan(
     runtimes: list[tuple[float, ...]],
     widths: list[tuple[int, ...]],
-    perms: list[tuple[int, ...]],
+    perms: Iterable[tuple[int, ...]],
     gpu_count: int,
 ) -> tuple[float, int, int, int, int]:
     """Least greedy-list makespan over every (width vector, priority order).
 
     ``widths[c]``/``runtimes[c]`` give each job's width and runtime in width
-    vector ``c``; ``perms`` are the priority orders.  Returns ``(makespan,
-    combo, perm, simulated, nodes)``: the first strict minimum in (combo,
-    perm) enumeration order, the number of width vectors searched and the
-    search nodes they took; ``(inf, -1, -1, ...)`` when every makespan
-    overflows.  A width vector is skipped when no list schedule of it can
-    beat the incumbent: none ends before its longest job, nor before its GPU
-    time spread over every GPU.  The margin keeps the rounding of that sum
-    from skipping a vector that could still win.  Any other vector is
-    searched over its maximal start sets (``_least_list_makespan``) and
-    becomes the incumbent only if it beats it, so the winner is the first
-    vector to reach the least makespan.  Its first order to reach it is
-    then found by simulating its orders in turn, each abandoned once it
-    ends above that makespan (``_simulate_list``).
+    vector ``c``; ``perms`` yields the priority orders and is read once, up
+    to the winner's order.  Returns ``(makespan, combo, perm, simulated,
+    nodes)``: the first strict minimum in (combo, perm) enumeration order,
+    the number of width vectors searched and the search nodes they took;
+    ``(inf, -1, -1, ...)`` when every makespan overflows.  A width vector
+    is skipped when no list schedule of it can beat the incumbent: none ends
+    before its longest job, nor before its GPU time spread over every GPU.
+    The margin keeps the rounding of that sum from skipping a vector that
+    could still win.  Any other vector is searched over its maximal start
+    sets (``_least_list_makespan``) and becomes the incumbent only if it
+    beats it, so the winner is the first vector to reach the least
+    makespan.  Its first order to reach it is then found by simulating its
+    orders in turn, each abandoned once it ends above that makespan
+    (``_simulate_list``).
     """
     best_m, best_c, best_p = math.inf, -1, -1
     simulated = nodes = 0
@@ -390,19 +391,19 @@ def permutation_search(
         raise SearchSpaceTooLarge(bound, f"candidate bound {bound} exceeds {_CANDIDATE_CAP}")
     combos = list(itertools.product(*options))
     runtimes = [tuple(runtime(job, w) for job, w in zip(jobs, c)) for c in combos]
-    perms = list(itertools.permutations(range(n)))
 
+    # the orders are generated, never listed: n! tuples at 8 jobs
     best_m, best_c, best_p, _, _ = _best_list_makespan(
-        runtimes, combos, perms, cluster.gpu_count
+        runtimes, combos, itertools.permutations(range(n)), cluster.gpu_count
     )
     if best_c < 0:
         raise AnalysisError("a job's end time overflows a float")
     width_map = {job.name: w for job, w in zip(jobs, combos[best_c])}
-    ordered = [jobs[j] for j in perms[best_p]]
-    schedule = list_schedule(ordered, width_map, cluster)
+    order = next(itertools.islice(itertools.permutations(range(n)), best_p, None))
+    schedule = list_schedule([jobs[j] for j in order], width_map, cluster)
     if schedule.makespan != best_m:
         raise AnalysisError("search kernel and placement engine disagree")
-    return schedule, len(combos) * len(perms)
+    return schedule, bound
 
 
 def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:

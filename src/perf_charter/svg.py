@@ -193,12 +193,14 @@ def roofline_svg(machine: MachineModel, points: Sequence[tuple]) -> str:
             f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(_text(x_of(x_hi) - 4, y_of(peak) - 4, f"{precision} {peak:.6g}", color=color, anchor="end"))
-    # one string per point, its circle and its label
-    for i, (name, intensity, throughput, *_) in enumerate(finite):
-        x, y = x_of(intensity), y_of(throughput)
-        parts.append(
+    # one string per point, its circle and its label; rows are read by
+    # index, as unpacking a longer row into ``*_`` builds a list per point
+    append = parts.append
+    for i, row in enumerate(finite):
+        x, y = x_of(row[1]), y_of(row[2])
+        append(
             f'<circle cx="{_f(x)}" cy="{_f(y)}" r="4" fill="{PALETTE[i % len(PALETTE)]}" '
-            f'stroke="#222"/>\n' + _text(x + 6, y - 5, name)
+            f'stroke="#222"/>\n' + _text(x + 6, y - 5, row[0])
         )
     parts.append("</svg>\n")
     return "\n".join(parts)

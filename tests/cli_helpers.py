@@ -1,10 +1,12 @@
+import csv
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import perf_charter
-from perf_charter.model import _KERNEL_FIELDS, _write_rows
+from perf_charter.model import _KERNEL_FIELDS, _dump_json
 
 # the child imports the package from the same src tree as this process,
 # whatever the working directory
@@ -27,6 +29,30 @@ def run_cli(*args):
     )
 
 
+def write_rows(header, rows, format):
+    """The inverse of ``model._read_rows``: ``rows`` are tuples in ``header``
+    order, None written as a blank CSV cell or an omitted JSON key.  Writes
+    the tests' input tables, and is the reference the roofline CSV equals."""
+    if format == "csv":
+        rows = list(rows)
+        for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n", quoting=quoting)
+            writer.writerow(header)
+            writer.writerows(rows)
+            text = out.getvalue()
+            # csv quotes "\n", the line terminator, but not a lone "\r", which
+            # a reader takes for a line break; then every cell is quoted
+            if "\r" not in text:
+                break
+        return text
+    if format == "json":
+        return _dump_json(
+            [{k: v for k, v in zip(header, row) if v is not None} for row in rows]
+        )
+    raise ValueError(f"unknown format {format!r}")
+
+
 # the seven per-benchmark kernel files bundled under data/kernels
 KERNEL_BENCHMARKS = ("Res50_TF", "Res50_MX", "XFMR_Py", "GNMT_Py", "SSD_Py", "MRCNN_Py", "NCF_Py")
 
@@ -35,7 +61,7 @@ def write_profiles(profiles, format="csv"):
     """profiles.csv rows for WorkloadProfile records; a metric a profile lacks is blank."""
     metrics = list(dict.fromkeys(m for p in profiles for m in p.metrics))
     rows = ((p.name, p.suite.value, *[p.metrics.get(m) for m in metrics]) for p in profiles)
-    return _write_rows(("name", "suite", *metrics), rows, format)
+    return write_rows(("name", "suite", *metrics), rows, format)
 
 
 def write_jobs(jobs, format="csv"):
@@ -44,12 +70,12 @@ def write_jobs(jobs, format="csv"):
     rows = (
         (job.name, job.t1_minutes, *[job.speedup.get(w) for w in widths]) for job in jobs
     )
-    return _write_rows(("name", "t1_minutes", *[f"s{w}" for w in widths]), rows, format)
+    return write_rows(("name", "t1_minutes", *[f"s{w}" for w in widths]), rows, format)
 
 
 def write_kernels(records, format="csv"):
     """kernels.csv rows, one per KernelRecord, fields in record order."""
-    return _write_rows(_KERNEL_FIELDS, records, format)
+    return write_rows(_KERNEL_FIELDS, records, format)
 
 
 def json_mirror(name):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -8,10 +9,13 @@ import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import perf_charter as pc
 from perf_charter import cli, svg
-from cli_helpers import KERNEL_BENCHMARKS, cli_env, json_mirror, run_cli
+from perf_charter import roofline as roof
+from cli_helpers import KERNEL_BENCHMARKS, cli_env, json_mirror, run_cli, write_rows
 
 PROFILES = str(pc.sample_path("profiles.csv"))
 JOBS = str(pc.sample_path("jobs.csv"))
@@ -447,8 +451,14 @@ def test_characterize_cut_nan_exits_3(tmp_path):
     assert not out.exists()
 
 
-def test_roofline_csv_quotes_class_names(tmp_path):
-    names = ["conv,1x1", 'say "hi"', 'a,"b",c', "carriage\rreturn", "new\nline"]
+ROOFLINE_HEADER = ("name", "intensity", "throughput", "classification")
+
+
+def _roofline_csv_of(tmp_path, names):
+    """roofline.csv of a run over one kernel class per name, each at 1000
+    FLOPs over 10 transactions in 1 ms, and the reference writer's text of
+    the rows that run should write."""
+    tmp_path.mkdir()
     kernels = tmp_path / "k.json"
     kernels.write_text(json.dumps([
         {"class": n, "time_ms": 1.0, "calls": 1, "unique": 1, "flops": 1000, "transactions": 10}
@@ -457,11 +467,52 @@ def test_roofline_csv_quotes_class_names(tmp_path):
     out = tmp_path / "out"
     result = run_cli("roofline", "--kernels", str(kernels), "--out", str(out))
     assert result.returncode == 0, result.stderr
-    with open(out / "roofline.csv", newline="", encoding="utf-8") as fh:
+    intensity, throughput = pc.intensity(1000, 10), pc.throughput(1000, 1e-3)
+    ridge = roof.parse_machine(pc.sample_path("machine.json").read_text()).ridge("single")
+    classification = roof.classify_at(ridge, intensity)
+    rows = [(n, intensity, throughput, classification) for n in names]
+    return (out / "roofline.csv").read_bytes(), write_rows(ROOFLINE_HEADER, rows, "csv")
+
+
+def test_roofline_csv_quotes_class_names(tmp_path):
+    names = ["conv,1x1", 'say "hi"', 'a,"b",c', "carriage\rreturn", "new\nline"]
+    written, reference = _roofline_csv_of(tmp_path / "mixed", names)
+    with open(tmp_path / "mixed" / "out" / "roofline.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["name", "intensity", "throughput", "classification"]
     assert all(len(row) == 4 for row in rows)
     assert [row[0] for row in rows[1:]] == names
+    assert written == reference.encode()
+    # a lone CR, in the only name that needs quoting, quotes every cell
+    written, reference = _roofline_csv_of(tmp_path / "cr", ["conv", "lone\rcr", "relu"])
+    assert written == reference.encode()
+    lines = written.decode().split("\n")
+    assert lines.pop() == "" and len(lines) == 4
+    assert all(
+        cell.startswith('"') and cell.endswith('"') for line in lines for cell in line.split(",")
+    )
+
+
+# the cells a roofline row can hold: any name (the CLI's are stripped and
+# non-empty), intensities and throughputs from 0.0 to inf, the three labels
+ROOFLINE_RATES = st.one_of(
+    st.floats(0.0, allow_nan=False), st.sampled_from([0.0, 1e-300, math.inf])
+)
+ROOFLINE_ROWS = st.tuples(
+    st.text(st.sampled_from(',"\n\r ab'), min_size=1, max_size=4),
+    ROOFLINE_RATES,
+    ROOFLINE_RATES,
+    st.sampled_from([roof.MEMORY_BOUND, roof.COMPUTE_BOUND, roof.AT_RIDGE]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ROOFLINE_ROWS, max_size=5))
+@example([("a,b", 0.0, 1e-300, roof.MEMORY_BOUND), ('"a"', math.inf, 2.5, roof.AT_RIDGE)])
+@example([("a\nb", 1e-300, 0.0, roof.COMPUTE_BOUND), ("\r", 1.5, math.inf, roof.AT_RIDGE)])
+def test_roofline_csv_equals_reference_writer(rows):
+    # both quoting forms: minimal, and every cell when any name holds a CR
+    assert cli._roofline_csv(rows) == write_rows(ROOFLINE_HEADER, rows, "csv")
 
 
 def _kernel_row(flops, transactions=10, time_ms=1.0):

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perf_charter as pc
-from cli_helpers import write_jobs, write_kernels, write_profiles
+from cli_helpers import write_jobs, write_kernels, write_profiles, write_rows
 from perf_charter.errors import MalformedRow, NonNumericCell, ParseError
-from perf_charter.model import _write_rows
 
 def _matrix(text, format="csv"):
     return pc.matrix_from_profiles(pc.parse_workload_profiles(text, format))
@@ -244,7 +243,7 @@ def test_kernels_round_trip_property(records):
 
 def _csv_writer_text(header, rows):
     """The text of a plain csv.writer loop (None as a blank cell), with every
-    cell quoted when any CR appears: the reference ``_write_rows`` must equal."""
+    cell quoted when any CR appears: the reference ``write_rows`` must equal."""
     for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n", quoting=quoting)
@@ -275,7 +274,7 @@ CSV_CELLS = st.one_of(
 )))
 def test_write_rows_csv_equals_csv_writer(table):
     header, rows = table
-    assert _write_rows(header, rows, "csv") == _csv_writer_text(header, rows)
+    assert write_rows(header, rows, "csv") == _csv_writer_text(header, rows)
 
 
 @pytest.mark.parametrize("header, rows, text", [
@@ -285,7 +284,7 @@ def test_write_rows_csv_equals_csv_writer(table):
     (("a", "b"), [("x",), ("y,z", "w")], 'a,b\nx\n"y,z",w\n'),
 ])
 def test_write_rows_csv_edge_cases(header, rows, text):
-    assert _write_rows(header, rows, "csv") == text == _csv_writer_text(header, rows)
+    assert write_rows(header, rows, "csv") == text == _csv_writer_text(header, rows)
 
 
 def test_kernel_summary_configurable_bytes(sample_kernels):
