@@ -114,10 +114,7 @@ def cmd_characterize(args) -> tuple[dict[str, str], Iterable[str]]:
     if space == "pca":
         points = pca.projections[:, : min(top_k, pca.projections.shape[1])]
     else:
-        cols = [matrix.metric_names.index(m) for m in pca.metric_names]
-        points = (
-            matrix.values[:, cols] - pca.standardization.means
-        ) / pca.standardization.stds
+        points = pca.standardized
     dist = clus.pairwise_distances(points)
     dendrogram = clus.agglomerate(dist, args.linkage, names=matrix.workload_names)
     if args.cut is not None:
@@ -263,7 +260,7 @@ def cmd_schedule(args) -> tuple[dict[str, str], Iterable[str]]:
     naive = sched.naive_schedule(jobs, cluster_spec)
     explored = None
     if args.method == "permutation":
-        best, explored = sched.permutation_search(jobs, cluster_spec, limit=args.limit)
+        best, explored = sched.permutation_search(jobs, cluster_spec)
     elif args.method == "exact":
         best = sched.exact_schedule(jobs, cluster_spec)
     else:
@@ -334,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allowed widths, e.g. 1,2,4,8 (default: powers of two up to --gpus)")
     p.add_argument("--method", choices=("exact", "permutation", "heuristic"),
                    default="permutation")
-    p.add_argument("--limit", type=int, default=8,
-                   help="permutation-search job-count guard (default 8)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_schedule)
     return parser
@@ -363,6 +358,9 @@ def main(argv=None) -> int:
         try:
             files, report = args.func(args)
             _write_outputs(args.out, files)
+            if sys.stdout is None:
+                # Python starts with no sys.stdout when fd 1 is closed
+                raise OutputError("cannot write to stdout: file descriptor 1 is closed")
             try:
                 # one write per line, where print makes two
                 write = sys.stdout.write

@@ -47,10 +47,6 @@ class NonNumericCell(ParseError):
 
 
 class SearchSpaceTooLarge(PerfCharterError):
-    """The search-space guard tripped; ``bound`` is the size that tripped it."""
+    """The search-space guard tripped; the message names the size that tripped it."""
 
     exit_code = 4
-
-    def __init__(self, bound: int, message: str):
-        super().__init__(message)
-        self.bound = bound

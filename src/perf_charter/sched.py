@@ -48,6 +48,7 @@ _CANDIDATE_CAP = 100_000_000
 # margin
 _BOUND_MARGIN = 1.0 + 1e-9
 
+_PERMUTATION_LIMIT = 8  # permutation_search's job-count guard
 _EXACT_LIMIT = 10  # exact_schedule's job-count guard
 
 
@@ -252,8 +253,6 @@ def _least_list_makespan(
     once an end so far reaches ``best``, or once a waiting job, which
     starts at ``t`` or later, would.  Jobs are the bits of a mask.
     """
-    if max(rts) >= best:
-        return best, 0
     # per mask: its jobs, their width, least width (P + 1 if none) and
     # longest runtime
     members, wsum, minw, maxrt = [()], [0], [gpu_count + 1], [0.0]
@@ -365,13 +364,12 @@ def _best_list_makespan(
     return best_m, best_c, best_p, simulated, nodes
 
 
-def permutation_search(
-    jobs: list[Job], cluster: ClusterSpec, limit: int = 8
-) -> tuple[Schedule, int]:
+def permutation_search(jobs: list[Job], cluster: ClusterSpec) -> tuple[Schedule, int]:
     """Exhaustive search over (width vector) x (priority permutation).
 
     The space holds prod|options| * n! candidates, so n is guarded by
-    ``limit`` and the returned count is that size, not the work done.
+    ``_PERMUTATION_LIMIT`` (8 jobs) and the space by ``_CANDIDATE_CAP``; the
+    returned count is that size, not the work done.
     ``_best_list_makespan`` skips each width vector whose lower bound cannot
     beat the best makespan so far and searches each other one over its
     maximal start sets, meeting each distinct list schedule once instead of
@@ -385,10 +383,12 @@ def permutation_search(
         return Schedule((), 0.0), 1
     options = [_width_options(job, cluster) for job in jobs]
     bound = math.factorial(n) * math.prod(len(o) for o in options)
-    if n > limit:
-        raise SearchSpaceTooLarge(bound, f"{n} jobs > limit {limit} (candidate bound {bound})")
+    if n > _PERMUTATION_LIMIT:
+        raise SearchSpaceTooLarge(
+            f"{n} jobs > limit {_PERMUTATION_LIMIT} (candidate bound {bound})"
+        )
     if bound > _CANDIDATE_CAP:
-        raise SearchSpaceTooLarge(bound, f"candidate bound {bound} exceeds {_CANDIDATE_CAP}")
+        raise SearchSpaceTooLarge(f"candidate bound {bound} exceeds {_CANDIDATE_CAP}")
     combos = list(itertools.product(*options))
     runtimes = [tuple(runtime(job, w) for job, w in zip(jobs, c)) for c in combos]
 
@@ -431,7 +431,7 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     """
     n = len(jobs)
     if n > _EXACT_LIMIT:
-        raise SearchSpaceTooLarge(n, f"{n} jobs > limit {_EXACT_LIMIT}")
+        raise SearchSpaceTooLarge(f"{n} jobs > limit {_EXACT_LIMIT}")
     if n == 0:
         return Schedule((), 0.0)
     p_total = cluster.gpu_count

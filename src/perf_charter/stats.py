@@ -37,7 +37,8 @@ class PcaModel(NamedTuple):
     workload_names: list[str]
     eigenvalues: np.ndarray       # descending, clamped at 0
     eigenvectors: np.ndarray      # column k = PC-k loading vector, unit length
-    projections: np.ndarray       # standardized data @ eigenvectors
+    standardized: np.ndarray      # z-scores of the retained columns (standardize's z)
+    projections: np.ndarray       # standardized @ eigenvectors
     explained: np.ndarray         # variance fractions, sum 1
     dropped_metrics: list[str]    # zero-variance columns removed before the fit
 
@@ -184,6 +185,7 @@ def fit_pca(matrix: MetricMatrix) -> PcaModel:
         workload_names=list(matrix.workload_names),
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
+        standardized=z,
         projections=projections,
         explained=explained,
         dropped_metrics=dropped,

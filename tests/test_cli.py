@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -635,6 +636,21 @@ def test_closed_stdout_exits_2(tmp_path):
         stderr = err.read()
     assert stderr.startswith("error: cannot write to stdout: ")
     assert stderr.count("\n") == 1
+
+
+def test_stdout_closed_at_start_exits_2(tmp_path):
+    # with fd 1 closed before the interpreter starts, Python sets sys.stdout
+    # to None; the files are still written, as when stdout closes later
+    argv = ["schedule", "--jobs", JOBS, "--gpus", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "perf_charter.cli", *argv, "--out", str(tmp_path / "closed")],
+        stderr=subprocess.PIPE, text=True, env=cli_env(), preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write to stdout: file descriptor 1 is closed\n"
+    assert run_cli(*argv, "--out", str(tmp_path / "open")).returncode == 0
+    for name in ("schedule.json", "gantt.svg"):
+        assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "open" / name).read_bytes()
 
 
 _ELEVEN_JOBS = "name,t1_minutes,s2\n" + "".join(f"j{i},10,1.5\n" for i in range(11))

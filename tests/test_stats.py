@@ -147,6 +147,19 @@ def test_fit_pca_orthogonal_standardized_columns():
     assert model.explained == pytest.approx([0.5, 0.5])
 
 
+def test_fit_pca_keeps_the_standardized_matrix():
+    # the constant middle column is dropped, so the kept columns are not a
+    # prefix of the matrix's
+    m = _matrix([[1.0, 7.0, 0.3], [4.0, 7.0, -2.5], [2.5, 7.0, 9.0], [-3.0, 7.0, 0.1]])
+    with pytest.warns(UserWarning, match="m1"):
+        model = stats.fit_pca(m)
+    with pytest.warns(UserWarning, match="m1"):
+        z = stats.standardize(m)[0]
+    assert model.standardized.shape == z.shape == (4, 2)
+    assert np.array_equal(model.standardized, z)
+    assert np.array_equal(model.projections, model.standardized @ model.eigenvectors)
+
+
 def test_fit_pca_sample_variance_summary(sample_pca):
     from conftest import soft_note
 
@@ -166,6 +179,7 @@ def test_dominant_metric_basic():
         workload_names=["w0", "w1"],
         eigenvalues=np.array([1.0, 1.0, 1.0]),
         eigenvectors=np.array([[0.1, 0.0, 0.0], [-0.9, 0.0, 0.0], [0.2, 0.0, 0.0]]),
+        standardized=np.zeros((2, 3)),
         projections=np.zeros((2, 3)),
         explained=np.array([1 / 3] * 3),
         dropped_metrics=[],
@@ -181,6 +195,7 @@ def test_dominant_metric_tie_breaks_canonically():
         workload_names=["w0", "w1"],
         eigenvalues=np.array([1.0, 1.0]),
         eigenvectors=np.array([[0.5, 0.5], [-0.5, 0.5]]),
+        standardized=np.zeros((2, 2)),
         projections=np.zeros((2, 2)),
         explained=np.array([0.5, 0.5]),
         dropped_metrics=[],
