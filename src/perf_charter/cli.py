@@ -2,7 +2,8 @@
 
 stdout carries the human-readable report (6 significant digits); it and the
 ``error:``/``warning:``/``note:`` lines on stderr escape any non-printable
-character of a name, so each prints as one terminal line.  Machine outputs
+character of a name, so each prints as one terminal line; an unwritable
+stderr drops those lines and keeps the exit code.  Machine outputs
 go to files in --out (JSON/CSV at full precision, SVG plots).  Each
 ``cmd_*`` renders its files (validating every schedule) and returns them with
 its report lines; only ``main`` writes the files, atomically, so a failing
@@ -206,11 +207,8 @@ def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
         if math.isfinite(intensity):
             ceiling = roof.ceiling_at(peak, bandwidth, intensity)
             if throughput > ceiling:
-                print(
-                    _escape(f"note: {name} throughput {throughput:.6g} exceeds the "
-                            f"configured ceiling {ceiling:.6g} GFLOP/s"),
-                    file=sys.stderr,
-                )
+                _print_stderr(f"note: {name} throughput {throughput:.6g} exceeds the "
+                              f"configured ceiling {ceiling:.6g} GFLOP/s")
 
     files = {
         "roofline.csv": _roofline_csv(rows),
@@ -345,8 +343,22 @@ def _escape(line: str) -> str:
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in line)
 
 
+def _print_stderr(line: str) -> None:
+    """Print one escaped ``error:``/``warning:``/``note:`` line on stderr.
+
+    With fd 2 closed at start-up ``sys.stderr`` is None, and with fd 2 not
+    writable each write raises ``OSError``; either way the line is dropped,
+    so the exit code stays the run's own.  ``print(file=None)`` would write
+    to stdout.
+    """
+    if sys.stderr is None:
+        return
+    with contextlib.suppress(OSError):
+        print(_escape(line), file=sys.stderr)
+
+
 def _print_warning(message, category, filename, lineno, file=None, line=None):
-    print(_escape(f"warning: {message}"), file=sys.stderr)
+    _print_stderr(f"warning: {message}")
 
 
 def main(argv=None) -> int:
@@ -375,7 +387,7 @@ def main(argv=None) -> int:
                 raise OutputError(f"cannot write to stdout: {exc}") from None
             return 0
         except (PerfCharterError, ValueError) as exc:
-            print(_escape(f"error: {exc}"), file=sys.stderr)
+            _print_stderr(f"error: {exc}")
             return exc.exit_code if isinstance(exc, PerfCharterError) else 3
 
 

@@ -415,19 +415,25 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     placed in index order.  These left-shifted schedules contain an optimum
     (the left-shift dominance rule of Demeulemeester & Herroelen, 1992).  A
     node's state is ``live``: (width, end) of the placed jobs that end after
-    its last start.
+    its last start.  Usage only falls after the last start, so the starts
+    where a width fits form a suffix; each node finds every width's first
+    fit once, and every child at that width starts there.  Placing more
+    jobs only adds usage, so no job below the node starts at a width before
+    that width's first fit.
     Each child must end before the incumbent and pass two area bounds: the
     work committed after its start plus the remaining jobs' least area fits
     on P GPUs before the incumbent; and, deadline-aware, each remaining job
-    has a width that ends before it, and their least such areas fit too.
-    That deadline data is computed per candidate start on first use, with
-    the incumbent current at that moment, and reused by the node's later
-    children at that start.  The all-jobs area bound and the longest-job
-    bound are checked only at the root: below it, the first child bound is
-    that area bound taken at the child's start, and a job that cannot end
-    in time makes the second one infinite.  The search is seeded with the heuristic schedule; among
-    equal optima it returns the first strict improvement in search order, or
-    the seed if nothing beats it.
+    has a width that ends before it when started at the later of the
+    child's start and that width's first fit, and their least such areas
+    fit too.  That deadline data is computed per candidate start on first
+    use, with the incumbent current at that moment, and reused by the
+    node's later children at that start.  The all-jobs area bound and the
+    longest-job bound are checked only at the root: below it, the first
+    child bound is that area bound taken at the child's start, and a job
+    that cannot end in time makes the second one infinite.  The search is
+    seeded with the heuristic schedule; among equal optima it returns the
+    first strict improvement in search order, or the seed if nothing beats
+    it.
     """
     n = len(jobs)
     if n > _EXACT_LIMIT:
@@ -449,6 +455,7 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     ]
     min_rt = [options[0][0] for options in branches]
     min_area = [min(area for _, _, area in options) for options in branches]
+    widths = sorted({w for options in branches for _, w, _ in options})
 
     seed = heuristic_schedule(jobs, cluster)
     idx_of = {job.name: j for j, job in enumerate(jobs)}
@@ -467,21 +474,24 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     # branch longest jobs first: good schedules appear early, tight pruning
     branch_order = sorted(range(n), key=lambda j: (-min_rt[j], j))
 
-    def deadline_data(s: float) -> tuple[float, list[float]]:
+    def deadline_data(s: float, fit: dict) -> tuple[float, list[float]]:
         """``(need, least)`` at start ``s`` for the jobs in ``remaining``.
 
-        ``least[k]`` is job k's least area among the widths that end before
-        the current incumbent when started at ``s`` (infinite if none does),
-        and ``need`` is their sum.
+        ``least[k]`` is job k's least area among the widths w that end
+        before the current incumbent when started at ``max(s, fit[w][0])``,
+        the earliest start w can have below the node (infinite if none
+        does), and ``need`` is their sum.  Rounding is monotone, so
+        ``max(s, f) + rt`` is the larger of ``s + rt`` and ``f + rt``:
+        each is tested on its own, as the child's end is.
         """
         least = [0.0] * n
         need = 0.0
         for k in remaining:
             least_k = math.inf
-            for rt, _, k_area in branches[k]:
+            for rt, w, k_area in branches[k]:
                 if s + rt >= best_m:
                     break
-                if k_area < least_k:
+                if k_area < least_k and fit[w][0] + rt < best_m:
                     least_k = k_area
             least[k] = least_k
             need += least_k
@@ -509,18 +519,23 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
                     busy += pw
                     overhang += pw * (pe - s)
             slots.append([s, busy, overhang, None])
+        # each width's first-fit slot, the earliest start where w GPUs are
+        # free: busy falls from slot to slot, so a wider width's is no
+        # earlier, and the last slot has nothing running, so every width
+        # fits.  A later start is dominated: shifting the job left keeps
+        # every GPU within capacity and no end grows.
+        fit = {}
+        i = 0
+        for w in widths:
+            while slots[i][1] + w > p_total:
+                i += 1
+            fit[w] = slots[i]
         for j in branch_order:
             if j not in remaining or prev_twin[j] in remaining:
                 continue
             rem_after = rem_area - min_area[j]
             for rt, w, j_area in branches[j]:
-                # the earliest start where w GPUs are free; the last slot has
-                # nothing running, so there is one.  A later start is
-                # dominated: shifting the job left keeps every GPU within
-                # capacity and no end grows.
-                for slot in slots:
-                    if slot[1] + w <= p_total:
-                        break
+                slot = fit[w]
                 s, _, overhang, deadline = slot
                 if s == last_s and j < last_j:
                     continue  # reached with j placed before last_j instead
@@ -534,10 +549,11 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
                 # rounding: one schedule can reach makespans a last bit
                 # apart by different paths, and this bound must not
                 # decide which of them is found first.  least[j] is
-                # finite here: this width ends before best_m, which is
-                # at most the incumbent the slot's data was built with.
+                # finite here: this width starts at its first fit and
+                # ends before best_m, which is at most the incumbent the
+                # slot's data was built with.
                 if deadline is None:
-                    deadline = slot[3] = deadline_data(s)
+                    deadline = slot[3] = deadline_data(s, fit)
                 need, least = deadline
                 if overhang + j_area + (need - least[j]) >= p_total * (
                     best_m * _BOUND_MARGIN - s

@@ -653,6 +653,43 @@ def test_stdout_closed_at_start_exits_2(tmp_path):
         assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "open" / name).read_bytes()
 
 
+def _close_stderr():
+    os.close(2)
+
+
+def _read_only_stderr():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(fd, 2)
+    os.close(fd)
+
+
+@pytest.mark.parametrize("setup", [_close_stderr, _read_only_stderr], ids=["closed", "read-only"])
+def test_stderr_unwritable_at_start_keeps_the_exit_code(tmp_path, setup):
+    # with fd 2 closed before start-up, Python sets sys.stderr to None; left
+    # open read-only (as a launcher may leave it), each write raises OSError.
+    # Either way the error line is dropped, and the exit code is the run's own
+    def run_without_stderr(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "perf_charter.cli", *argv], stdout=subprocess.PIPE,
+            env=cli_env(), preexec_fn=setup, timeout=300,
+        )
+
+    bad = tmp_path / "bad.csv"
+    bad.write_text("name,t1_minutes,s2\na,0,1.5\n")
+    proc = run_without_stderr("schedule", "--jobs", str(bad), "--gpus", "2",
+                              "--out", str(tmp_path / "bad"))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert not (tmp_path / "bad").exists()
+    argv = ["schedule", "--jobs", JOBS, "--gpus", "2"]
+    proc = run_without_stderr(*argv, "--out", str(tmp_path / "closed"))
+    opened = run_cli(*argv, "--out", str(tmp_path / "open"))
+    assert proc.returncode == opened.returncode == 0
+    assert proc.stdout.decode() == opened.stdout
+    for name in ("schedule.json", "gantt.svg"):
+        assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "open" / name).read_bytes()
+
+
 _ELEVEN_JOBS = "name,t1_minutes,s2\n" + "".join(f"j{i},10,1.5\n" for i in range(11))
 
 

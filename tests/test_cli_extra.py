@@ -102,6 +102,17 @@ _EIGHT_JOBS_P4 = [
     ("extra_b", 1, (2,), 962.1, 1007.1),
     ("Res50_MX", 4, (0, 1, 2, 3), 1045.6818181818182, 1300.203094777563),
 ]
+# the same at 8 GPUs, where the deadline-aware bound prunes the most
+_EIGHT_JOBS_P8 = [
+    ("MRCNN_Py", 8, (0, 1, 2, 3, 4, 5, 6, 7), 0.0, 328.64285714285717),
+    ("Res50_MX", 4, (0, 1, 2, 3), 328.64285714285717, 583.1641337386019),
+    ("SSD_Py", 4, (4, 5, 6, 7), 328.64285714285717, 384.04608294930875),
+    ("Res50_TF", 4, (4, 5, 6, 7), 384.04608294930875, 648.8637912826421),
+    ("extra_a", 4, (0, 1, 2, 3), 583.1641337386019, 621.8738111579568),
+    ("extra_b", 4, (0, 1, 2, 3), 621.8738111579568, 640.6238111579568),
+    ("NCF_Py", 4, (0, 1, 2, 3), 640.6238111579568, 641.6423296764752),
+    ("XFMR_Py", 8, (0, 1, 2, 3, 4, 5, 6, 7), 648.8637912826421, 762.4352198540706),
+]
 
 
 def test_exact_schedule_handles_eight_jobs_quickly(sample_jobs):
@@ -111,11 +122,15 @@ def test_exact_schedule_handles_eight_jobs_quickly(sample_jobs):
         pc.Job("extra_a", 120.0, {2: 1.8, 4: 3.1}),
         pc.Job("extra_b", 45.0, {2: 1.6, 4: 2.4, 8: 3.0}),
     ]
-    t0 = time.perf_counter()
-    exact = pc.exact_schedule(jobs, pc.ClusterSpec(4))
-    elapsed = time.perf_counter() - t0
-    heur = pc.heuristic_schedule(jobs, pc.ClusterSpec(4))
-    assert exact.makespan <= heur.makespan
-    assert elapsed < 60.0
-    assert exact.makespan == 1300.203094777563
-    assert [(p.job, p.width, p.gpu_ids, p.start, p.end) for p in exact.placements] == _EIGHT_JOBS_P4
+    for gpus, makespan, placements in (
+        (4, 1300.203094777563, _EIGHT_JOBS_P4),
+        (8, 762.4352198540706, _EIGHT_JOBS_P8),
+    ):
+        t0 = time.perf_counter()
+        exact = pc.exact_schedule(jobs, pc.ClusterSpec(gpus))
+        elapsed = time.perf_counter() - t0
+        heur = pc.heuristic_schedule(jobs, pc.ClusterSpec(gpus))
+        assert exact.makespan <= heur.makespan
+        assert elapsed < 60.0
+        assert exact.makespan == makespan
+        assert [(p.job, p.width, p.gpu_ids, p.start, p.end) for p in exact.placements] == placements

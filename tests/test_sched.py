@@ -548,6 +548,59 @@ def test_exact_matches_brute_force_on_tie_prone_instances():
         check_schedule(exact, cluster.gpu_count, jobs)
 
 
+# jobs (t1_minutes, speedup) on the given GPU count, found by search: one-GPU
+# jobs next to rigid or near-rigid jobs wider than half the GPUs, so a wide
+# job cannot start beside the jobs running at a child's start.  The
+# deadline-aware bound starts each width at its first fit; in some orders of
+# these jobs, a bound that took a later start (the next slot, or the first
+# with one more GPU free) prunes every optimum
+_LATE_FIT_PATTERNS = [
+    (5, [(130.0, {4: 26.0, 5: 29.28}), (6.0, {}), (100.0, {4: 25.0}), (7.0, {}), (3.0, {})]),
+    (4, [(8.0, {}), (9.0, {}), (60.0, {3: 20.0}), (3.0, {}), (22.0, {3: 22.0})]),
+    (4, [(120.0, {3: 20.0}), (11.0, {}), (11.0, {}), (160.0, {3: 20.0}), (5.0, {})]),
+    (5, [(11.0, {}), (40.0, {4: 20.0}), (10.0, {}), (6.0, {}), (75.0, {4: 15.0, 5: 19.02})]),
+]
+
+
+def _late_fit_instance(rng):
+    """Three to five jobs on 3-5 GPUs, each either on one GPU or rigid at a
+    width above half the GPUs (on one GPU 10-30x slower), sometimes with one
+    wider width that is barely faster."""
+    gpus = rng.randint(3, 5)
+    jobs = []
+    for i in range(rng.randint(3, 5)):
+        if rng.random() < 0.5:
+            jobs.append(_job(f"j{i}", float(rng.randint(1, 12)), {}))
+            continue
+        w = rng.randint(gpus // 2 + 1, gpus)
+        minutes = float(rng.randint(1, 8))
+        slowdown = float(rng.randint(10, 30))
+        speedup = {w: slowdown}
+        if w < gpus and rng.random() < 0.5:
+            speedup[w + 1] = round(slowdown * rng.uniform(1.0, 1.3), 2)
+        jobs.append(_job(f"j{i}", minutes * slowdown, speedup))
+    return jobs, gpus
+
+
+def test_exact_matches_brute_force_when_wide_jobs_fit_late():
+    import random
+
+    rng = random.Random(2626)
+    # each pattern in three seeded orders
+    cases = [
+        ([_job(f"j{i}", t1, speedup) for i, (t1, speedup) in enumerate(order)], gpus)
+        for gpus, pattern in _LATE_FIT_PATTERNS
+        for order in (rng.sample(pattern, len(pattern)) for _ in range(3))
+    ]
+    cases += [_late_fit_instance(rng) for _ in range(40)]
+    for jobs, gpus in cases:
+        cluster = pc.ClusterSpec(gpus, tuple(range(1, gpus + 1)))
+        exact = pc.exact_schedule(jobs, cluster)
+        oracle = brute_force_makespan(jobs, gpus, cluster.allowed_widths)
+        assert exact.makespan == pytest.approx(oracle, abs=1e-9), (jobs, gpus)
+        check_schedule(exact, gpus, jobs)
+
+
 def test_exact_monotone_in_gpu_count():
     import random
 
