@@ -17,9 +17,9 @@ Five schedulers over the same Job/ClusterSpec inputs:
                        at its earliest feasible start; may insert deliberate
                        idle gaps, returns the provably minimal makespan
 
-One simulation, ``_simulate_list``, serves ``list_schedule`` and the
-permutation search's pick among the orders of its winning width vector; the
-search itself does the same float operations.  Jobs are moldable (width
+``list_schedule`` is the one list simulation.  The permutation search does
+its float operations and emits the priority order its own search path
+reaches, which ``list_schedule`` rebuilds.  Jobs are moldable (width
 fixed at launch) and non-preemptive; no interpolation between measured
 widths.  GPU identity never affects makespans; every scheduler decides
 widths and start times only and hands them to ``_placed``, the one GPU-id
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import AnalysisError, SearchSpaceTooLarge
 from .model import Job, _checked_make
@@ -146,10 +146,10 @@ def list_schedule(
 ) -> Schedule:
     """Greedy event-driven placement.
 
-    Whenever GPUs free up (and at t=0) the earliest-priority unstarted job
-    whose width fits the free count is started, repeatedly within the same
-    instant (``_simulate_list``).  An end that overflows a float is an
-    AnalysisError.
+    Whenever GPUs free up (and at t=0) every waiting job that fits starts,
+    in priority order; then time advances to the earliest end and releases
+    every job ending there, also one whose end rounded to its start.  An
+    end that overflows a float is an AnalysisError.
     """
     ws, rts = [], []
     for job in jobs:
@@ -160,67 +160,26 @@ def list_schedule(
             raise AnalysisError(f"width {w} not in allowed widths for {job.name}")
         ws.append(w)
         rts.append(runtime(job, w))
-    started: list[tuple[float, int, int, float]] = []
-    _simulate_list(range(len(jobs)), ws, rts, cluster.gpu_count, math.inf, started)
-    if len(started) < len(jobs):
-        # the simulation stopped at an end that overflowed to inf
-        raise AnalysisError("a job's end time overflows a float")
-    rows = [(jobs[j].name, w, s, e) for e, w, j, s in started]
-    return _placed(rows, cluster.gpu_count)
-
-
-def heuristic_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
-    """Longest-processing-time list schedule at each job's fastest width."""
-    widths = {
-        job.name: min(_width_options(job, cluster), key=lambda w: (runtime(job, w), w))
-        for job in jobs
-    }
-    ordered = sorted(jobs, key=lambda j: (-runtime(j, widths[j.name]), j.name))
-    return list_schedule(ordered, widths, cluster)
-
-
-def _simulate_list(
-    order: Sequence[int],
-    ws: Sequence[int],
-    rts: Sequence[float],
-    gpu_count: int,
-    cutoff: float,
-    started: list[tuple[float, int, int, float]],
-) -> float:
-    """Makespan of the greedy list schedule, or the first end >= ``cutoff``.
-
-    Jobs are indices into ``ws``/``rts``.  Whenever GPUs free up (and at
-    t=0) every waiting job that fits starts, in priority ``order``; then time
-    advances to the earliest end and releases every job ending there, also
-    one whose end rounded to its start.  Each start is appended to
-    ``started`` as ``(end, width, job, start)``, so the log is in start
-    order.  The makespan only grows, so once a job would end at or after
-    ``cutoff`` the order cannot end below it: that end is returned and the
-    job is not logged.  At ``cutoff=inf`` only an overflowing end does so.
-    """
-    waiting = order
-    running: list[tuple[float, int, int, float]] = []
-    free = gpu_count
+    rows = []  # (job, width, start, end) in start order
+    waiting = range(len(jobs))
+    running: list[tuple[float, int]] = []
+    free = cluster.gpu_count
     t = 0.0
-    makespan = 0.0
     while True:
         blocked = []
         for j in waiting:
             w = ws[j]
             if w <= free:
                 e = t + rts[j]
-                if e >= cutoff:
-                    return e
+                if e == math.inf:
+                    raise AnalysisError("a job's end time overflows a float")
                 free -= w
-                run = (e, w, j, t)
-                running.append(run)
-                started.append(run)
-                if e > makespan:
-                    makespan = e
+                running.append((e, w))
+                rows.append((jobs[j].name, w, t, e))
             else:
                 blocked.append(j)
         if not blocked:
-            return makespan
+            return _placed(rows, cluster.gpu_count)
         # every width fits an idle cluster, so something is running
         waiting = blocked
         t = min(running)[0]
@@ -233,45 +192,69 @@ def _simulate_list(
         running = still
 
 
+def heuristic_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
+    """Longest-processing-time list schedule at each job's fastest width."""
+    widths = {
+        job.name: min(_width_options(job, cluster), key=lambda w: (runtime(job, w), w))
+        for job in jobs
+    }
+    ordered = sorted(jobs, key=lambda j: (-runtime(j, widths[j.name]), j.name))
+    return list_schedule(ordered, widths, cluster)
+
+
 def _least_list_makespan(
     ws: Sequence[int], rts: Sequence[float], gpu_count: int, best: float
-) -> tuple[float, int]:
+) -> tuple[float, tuple[int, ...], int]:
     """Least greedy-list makespan over every priority order, if below ``best``.
 
-    Returns ``(makespan, nodes)``; the makespan is ``best`` itself when no
-    order beats it.  At each event a list schedule starts a set of waiting
-    jobs that fit, after which no waiting job fits: a maximal start set.
-    Conversely, any sequence of maximal start sets is the list schedule of
-    the order that lists each event's set before the next one's.  So a
-    depth-first search over maximal start sets meets every list schedule
-    once, where the orders meet it once per order that yields it (the
-    parallel schedule-generation scheme; Kolisch, EJOR 1996).  Each event
-    visited is one node.  The float operations are ``_simulate_list``'s: a
-    job starts at the event time ``t`` and ends at ``t + rts[j]``, and the
-    next event is the least running end, which releases every job ending
-    then, also one whose end rounded to its start.  An event is abandoned
-    once an end so far reaches ``best``, or once a waiting job, which
-    starts at ``t`` or later, would.  Jobs are the bits of a mask.
+    Returns ``(makespan, order, nodes)``; the makespan is ``best`` itself
+    and the order empty when no order beats it.  At each event a list
+    schedule starts a set of waiting jobs that fit, after which no waiting
+    job fits: a maximal start set.  Conversely, any sequence of maximal
+    start sets is the list schedule of the order that lists each event's
+    set before the next one's.  So a depth-first search over maximal start
+    sets meets every list schedule once, where the orders meet it once per
+    order that yields it (the parallel schedule-generation scheme; Kolisch,
+    EJOR 1996).  Each event's sets are visited in ascending order of their
+    job-index tuples, so the first schedule to reach the least makespan has
+    the lexicographically least sequence of start sets among those that
+    reach it.  Each stack entry carries its chain of start sets, and the
+    winner's order lists each set's jobs in ascending index, set after set.
+    Each event visited is one node.  The float operations are
+    ``list_schedule``'s: a job starts at the event time ``t`` and ends at
+    ``t + rts[j]``, and the next event is the least running end, which
+    releases every job ending then, also one whose end rounded to its
+    start.  An event is abandoned once an end so far reaches ``best``, or
+    once a waiting job, which starts at ``t`` or later, would.  Jobs are
+    the bits of a mask.
     """
-    # per mask: its jobs, their width, least width (P + 1 if none) and
-    # longest runtime
+    # per mask: its jobs in ascending index, their width, least width
+    # (P + 1 if none) and longest runtime.  Job j is bit n - 1 - j, so of two
+    # maximal sets, which never contain one another, the one holding the
+    # least job in only one of them has the larger mask: ascending job-index
+    # tuples are descending masks.
     members, wsum, minw, maxrt = [()], [0], [gpu_count + 1], [0.0]
-    for j, (w, rt) in enumerate(zip(ws, rts)):
-        members += [js + (j,) for js in members]
+    for j in reversed(range(len(ws))):
+        w, rt = ws[j], rts[j]
+        members += [(j,) + js for js in members]
         wsum += [x + w for x in wsum]
         minw += [x if x < w else w for x in minw]
         maxrt += [x if x > rt else rt for x in maxrt]
     start_sets: dict[tuple[int, int], list[int]] = {}
+    best_chain: tuple = ()
     nodes = 0
-    # events to visit: (time, free GPUs, running (end, width), waiting, makespan)
-    stack = [(0.0, gpu_count, [], len(wsum) - 1, 0.0)]
+    # events to visit: (time, free GPUs, running (end, width), waiting,
+    # makespan, chain); a chain is () or (start set, the chain before it)
+    stack = [(0.0, gpu_count, [], len(wsum) - 1, 0.0, ())]
     while stack:
-        t, free, running, waiting, makespan = stack.pop()
+        t, free, running, waiting, makespan, chain = stack.pop()
         if makespan >= best or t + maxrt[waiting] >= best:
             continue  # the incumbent fell after this event was pushed
         nodes += 1
         sets = start_sets.get((waiting, free))
         if sets is None:
+            # listed in ascending mask order and pushed in turn, so popped in
+            # ascending order of their job-index tuples
             sets = start_sets[waiting, free] = _maximal_sets(waiting, free, wsum, minw)
         for sub in sets:
             m = makespan
@@ -285,7 +268,8 @@ def _least_list_makespan(
                 continue
             rest = waiting ^ sub
             if not rest:
-                best = m
+                # all waiting jobs fit, so this set is the event's only one
+                best, best_chain = m, (sub, chain)
                 continue
             # every width fits an idle cluster, so something is running
             t_next = min(new)[0]
@@ -298,70 +282,64 @@ def _least_list_makespan(
                     f += run[1]
                 else:
                     still.append(run)
-            stack.append((t_next, f, still, rest, m))
-    return best, nodes
+            stack.append((t_next, f, still, rest, m, (sub, chain)))
+    order: tuple[int, ...] = ()
+    while best_chain:
+        sub, best_chain = best_chain
+        order = members[sub] + order
+    return best, order, nodes
 
 
 def _maximal_sets(waiting: int, free: int, wsum: list[int], minw: list[int]) -> list[int]:
     """Each subset of ``waiting`` whose jobs fit in ``free`` GPUs and leave
-    too few for any other waiting job, as a mask."""
+    too few for any other waiting job, as a mask, in ascending order."""
     sets = []
-    sub = waiting
+    sub = 0
     while True:
         used = wsum[sub]
         if used <= free and minw[waiting ^ sub] > free - used:
             sets.append(sub)
-        if not sub:
+        if sub == waiting:
             return sets
-        sub = (sub - 1) & waiting
+        sub = (sub - waiting) & waiting
 
 
 def _best_list_makespan(
     runtimes: list[tuple[float, ...]],
     widths: list[tuple[int, ...]],
-    perms: Iterable[tuple[int, ...]],
     gpu_count: int,
-) -> tuple[float, int, int, int, int]:
+) -> tuple[float, int, tuple[int, ...], int, int]:
     """Least greedy-list makespan over every (width vector, priority order).
 
     ``widths[c]``/``runtimes[c]`` give each job's width and runtime in width
-    vector ``c``; ``perms`` yields the priority orders and is read once, up
-    to the winner's order.  Returns ``(makespan, combo, perm, simulated,
-    nodes)``: the first strict minimum in (combo, perm) enumeration order,
-    the number of width vectors searched and the search nodes they took;
-    ``(inf, -1, -1, ...)`` when every makespan overflows.  A width vector
-    is skipped when no list schedule of it can beat the incumbent: none ends
-    before its longest job, nor before its GPU time spread over every GPU.
-    The margin keeps the rounding of that sum from skipping a vector that
-    could still win.  Any other vector is searched over its maximal start
-    sets (``_least_list_makespan``) and becomes the incumbent only if it
-    beats it, so the winner is the first vector to reach the least
-    makespan.  Its first order to reach it is then found by simulating its
-    orders in turn, each abandoned once it ends above that makespan
-    (``_simulate_list``).
+    vector ``c``.  Returns ``(makespan, combo, order, searched, nodes)``:
+    the winner, the number of width vectors searched and the search nodes
+    they took; ``(inf, -1, (), ...)`` when every makespan overflows.  A
+    width vector is skipped when no list schedule of it can beat the
+    incumbent: none ends before its longest job, nor before its GPU time
+    spread over every GPU.  The margin keeps the rounding of that sum from
+    skipping a vector that could still win.  Any other vector is searched
+    over its maximal start sets (``_least_list_makespan``) and becomes the
+    incumbent only if it beats it.  So ties resolve to the first width
+    vector to reach the least makespan, and within it to the list schedule
+    whose sequence of start sets is lexicographically least, each set read
+    as its ascending job indices.  The order lists those sets' jobs set
+    after set.
     """
-    best_m, best_c, best_p = math.inf, -1, -1
-    simulated = nodes = 0
+    best_m, best_c, best_order = math.inf, -1, ()
+    searched = nodes = 0
     for c, (rts, ws) in enumerate(zip(runtimes, widths)):
         # area / P summed term by term stays at most the makespan, so it
         # cannot overflow while the makespan is finite
         bound = max(max(rts), sum(rt * (w / gpu_count) for rt, w in zip(rts, ws)))
         if bound >= best_m * _BOUND_MARGIN:
             continue
-        simulated += 1
-        makespan, searched = _least_list_makespan(ws, rts, gpu_count, best_m)
-        nodes += searched
+        searched += 1
+        makespan, order, visited = _least_list_makespan(ws, rts, gpu_count, best_m)
+        nodes += visited
         if makespan < best_m:
-            best_m, best_c = makespan, c
-    if best_c >= 0:
-        rts, ws = runtimes[best_c], widths[best_c]
-        cutoff = math.nextafter(best_m, math.inf)
-        started: list[tuple[float, int, int, float]] = []
-        for best_p, order in enumerate(perms):
-            if _simulate_list(order, ws, rts, gpu_count, cutoff, started) == best_m:
-                break
-            started.clear()
-    return best_m, best_c, best_p, simulated, nodes
+            best_m, best_c, best_order = makespan, c, order
+    return best_m, best_c, best_order, searched, nodes
 
 
 def permutation_search(jobs: list[Job], cluster: ClusterSpec) -> tuple[Schedule, int]:
@@ -373,10 +351,14 @@ def permutation_search(jobs: list[Job], cluster: ClusterSpec) -> tuple[Schedule,
     ``_best_list_makespan`` skips each width vector whose lower bound cannot
     beat the best makespan so far and searches each other one over its
     maximal start sets, meeting each distinct list schedule once instead of
-    once per order; neither changes the result.  Ties resolve to the
-    lexicographically smallest (width vector, permutation), and the winner
-    is rebuilt with ``list_schedule``, which must agree on the makespan.
-    An AnalysisError when every candidate's end overflows a float.
+    once per order; neither changes the least makespan.  Ties resolve to
+    the first width vector in ``itertools.product`` order to reach it, and
+    within it to the list schedule whose sequence of start sets, each read
+    as its ascending job indices, is lexicographically least.  That
+    schedule is rebuilt with ``list_schedule`` from the order that lists
+    each set's jobs in ascending index, set after set, and must agree on
+    the makespan.  An AnalysisError when every candidate's end overflows a
+    float.
     """
     n = len(jobs)
     if n == 0:
@@ -392,14 +374,10 @@ def permutation_search(jobs: list[Job], cluster: ClusterSpec) -> tuple[Schedule,
     combos = list(itertools.product(*options))
     runtimes = [tuple(runtime(job, w) for job, w in zip(jobs, c)) for c in combos]
 
-    # the orders are generated, never listed: n! tuples at 8 jobs
-    best_m, best_c, best_p, _, _ = _best_list_makespan(
-        runtimes, combos, itertools.permutations(range(n)), cluster.gpu_count
-    )
+    best_m, best_c, order, _, _ = _best_list_makespan(runtimes, combos, cluster.gpu_count)
     if best_c < 0:
         raise AnalysisError("a job's end time overflows a float")
     width_map = {job.name: w for job, w in zip(jobs, combos[best_c])}
-    order = next(itertools.islice(itertools.permutations(range(n)), best_p, None))
     schedule = list_schedule([jobs[j] for j in order], width_map, cluster)
     if schedule.makespan != best_m:
         raise AnalysisError("search kernel and placement engine disagree")

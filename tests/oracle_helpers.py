@@ -4,13 +4,15 @@ Deliberately dumb re-implementations kept separate from the library code:
 a characteristic-polynomial eigenvalue solver for 3x3 symmetric matrices, an
 exhaustive enumerator over start-time-ordered (semi-active) schedules, a
 greedy list scheduler that hands out GPU ids from a sorted free list, the
-permutation search's kernel without pruning, an interval-overlap schedule
-checker, agglomerative clustering over a dict of every live pair, and the
-Jacobi sweeps indexing numpy arrays element by element.
+permutation search's kernel without pruning (every order simulated, each
+event's start set recorded), an interval-overlap schedule checker,
+agglomerative clustering over a dict of every live pair, and the Jacobi
+sweeps indexing numpy arrays element by element.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -133,56 +135,73 @@ def free_list_schedule(jobs, widths, gpu_count: int) -> Schedule:
     return Schedule(tuple(placements), max((p.end for p in placements), default=0.0))
 
 
+def list_start_sets(order, ws, rts, gpu_count: int):
+    """``(makespan, start sets)`` of the greedy list schedule of ``order``.
+
+    Jobs are indices into ``ws``/``rts``.  The simulation is
+    ``list_schedule``'s without GPU ids: start every fitting job in priority
+    order, then advance to the earliest end and release every job ending
+    there.  Each pass records the jobs it started, in ascending index, as one
+    start set: a job whose end rounds to its start gives two passes at one
+    time, each with its own set.
+    """
+    waiting = order
+    running: list[tuple[float, int]] = []
+    free = gpu_count
+    t = 0.0
+    makespan = 0.0
+    sets = []
+    while True:
+        blocked = []
+        started = []
+        for j in waiting:
+            w = ws[j]
+            if w <= free:
+                free -= w
+                e = t + rts[j]
+                running.append((e, w))
+                started.append(j)
+                if e > makespan:
+                    makespan = e
+            else:
+                blocked.append(j)
+        sets.append(tuple(sorted(started)))
+        if not blocked:
+            return makespan, tuple(sets)
+        # every width fits an idle cluster, so something is running
+        waiting = blocked
+        t = min(e for e, _ in running)
+        still = []
+        for e, w in running:
+            if e == t:
+                free += w
+            else:
+                still.append((e, w))
+        running = still
+
+
 def best_list_makespan(
     runtimes: list[tuple[float, ...]],
     widths: list[tuple[int, ...]],
-    perms: list[tuple[int, ...]],
     gpu_count: int,
-) -> tuple[float, int, int]:
+) -> tuple[float, int, tuple[int, ...]]:
     """Least greedy-list makespan over every (width vector, priority order).
 
     ``widths[c]``/``runtimes[c]`` give each job's width and runtime in width
-    vector ``c``; ``perms`` are the priority orders.  The simulation is
-    ``list_schedule``'s without GPU ids: start every fitting job in priority
-    order, then advance to the earliest end and release every job ending
-    there.  Returns ``(makespan, combo, perm)`` of the first strict minimum in
-    (combo, perm) enumeration order.
+    vector ``c``; every priority order of each is simulated
+    (``list_start_sets``).  Returns ``(makespan, combo, order)``: the first
+    width vector in enumeration order to reach the least makespan and,
+    within it, the list schedule whose sequence of start sets is
+    lexicographically least, named by the order that lists those sets' jobs
+    set after set.  ``(inf, -1, ())`` when every makespan overflows.
     """
-    best = (math.inf, -1, -1)
+    best = (math.inf, -1, ())
     for c, (rts, ws) in enumerate(zip(runtimes, widths)):
-        for p, order in enumerate(perms):
-            waiting = order
-            running: list[tuple[float, int]] = []
-            free = gpu_count
-            t = 0.0
-            makespan = 0.0
-            while True:
-                blocked = []
-                for j in waiting:
-                    w = ws[j]
-                    if w <= free:
-                        free -= w
-                        e = t + rts[j]
-                        running.append((e, w))
-                        if e > makespan:
-                            makespan = e
-                    else:
-                        blocked.append(j)
-                if not blocked:
-                    break
-                # every width fits an idle cluster, so something is running
-                waiting = blocked
-                t = min(e for e, _ in running)
-                still = []
-                for e, w in running:
-                    if e == t:
-                        free += w
-                    else:
-                        still.append((e, w))
-                running = still
-            if makespan < best[0]:
-                best = (makespan, c, p)
-    return best
+        for order in itertools.permutations(range(len(ws))):
+            makespan, sets = list_start_sets(order, ws, rts, gpu_count)
+            best = min(best, (makespan, c, sets))
+    makespan, c, sets = best
+    return makespan, c, tuple(j for s in sets for j in s)
 
 
 def check_schedule(schedule, gpu_count: int, jobs) -> None:

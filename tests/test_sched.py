@@ -14,6 +14,7 @@ from oracle_helpers import (
     brute_force_makespan,
     check_schedule,
     free_list_schedule,
+    list_start_sets,
 )
 
 
@@ -199,17 +200,22 @@ def test_permutation_search_reruns_identical(sample_jobs, p4):
 
 
 def _first_minimum_list_schedule(jobs, cluster):
-    """list_schedule on every (width vector, priority order), in the search's
-    enumeration order, keeping the first strict minimum."""
+    """list_schedule on every (width vector, priority order), keeping the
+    first width vector in the search's enumeration order to reach the least
+    makespan and, within it, the schedule whose sequence of start sets is
+    lexicographically least."""
     options = [[w for w in cluster.allowed_widths if w in job.speedup] for job in jobs]
-    best, count = None, 0
-    for widths in itertools.product(*options):
+    best, best_key, count = None, None, 0
+    for c, widths in enumerate(itertools.product(*options)):
         width_map = {job.name: w for job, w in zip(jobs, widths)}
-        for order in itertools.permutations(jobs):
-            schedule = pc.list_schedule(list(order), width_map, cluster)
+        rts = [pc.runtime(job, w) for job, w in zip(jobs, widths)]
+        for order in itertools.permutations(range(len(jobs))):
+            schedule = pc.list_schedule([jobs[j] for j in order], width_map, cluster)
+            makespan, sets = list_start_sets(order, widths, rts, cluster.gpu_count)
+            assert makespan == schedule.makespan
             count += 1
-            if best is None or schedule.makespan < best.makespan:
-                best = schedule
+            if best is None or (makespan, c, sets) < best_key:
+                best, best_key = schedule, (makespan, c, sets)
     return best, count
 
 
@@ -257,8 +263,7 @@ def _kernel_inputs(jobs, cluster):
     """``_best_list_makespan``'s arguments, built as ``permutation_search`` does."""
     combos = list(itertools.product(*(sched._width_options(j, cluster) for j in jobs)))
     runtimes = [tuple(pc.runtime(j, w) for j, w in zip(jobs, c)) for c in combos]
-    perms = list(itertools.permutations(range(len(jobs))))
-    return runtimes, combos, perms, cluster.gpu_count
+    return runtimes, combos, cluster.gpu_count
 
 
 # relative runtime perturbations: last-bit ones, and ones on both sides of
@@ -269,8 +274,8 @@ _JITTER = (0.0, 2.0**-52, -(2.0**-52), 4 * 2.0**-52, 1e-10, -1e-10, 1e-9, -1e-9,
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(tie_prone_instances(), tie_prone_instances(_JITTER)))
 def test_pruned_kernel_equals_unpruned_oracle(instance):
-    # skipped width vectors and abandoned orders never change the first
-    # strict minimum in (combo, perm) order
+    # skipped width vectors and abandoned start sets never change the
+    # least makespan, its first width vector or its least start sets
     inputs = _kernel_inputs(*instance)
     assert sched._best_list_makespan(*inputs)[:3] == best_list_makespan(*inputs)
 
@@ -304,29 +309,55 @@ def release_edge_instances(draw):
 @example((_ROUNDING_JOBS, pc.ClusterSpec(1)))
 @example(([_job(f"j{i}", 1e308, {}) for i in range(3)], pc.ClusterSpec(2)))
 def test_kernel_equals_unpruned_oracle_at_release_edges(instance):
-    runtimes, combos, perms, gpus = inputs = _kernel_inputs(*instance)
+    runtimes, combos, gpus = inputs = _kernel_inputs(*instance)
     assert sched._best_list_makespan(*inputs)[:3] == best_list_makespan(*inputs)
-    # each width vector's own least makespan too, which no incumbent hides
+    # each width vector's own least makespan and order too, which no
+    # incumbent hides
     for rts, ws in zip(runtimes, combos):
-        least, _ = sched._least_list_makespan(ws, rts, gpus, math.inf)
-        assert least == best_list_makespan([rts], [ws], perms, gpus)[0]
+        least, order, _ = sched._least_list_makespan(ws, rts, gpus, math.inf)
+        assert (least, order) == best_list_makespan([rts], [ws], gpus)[::2]
 
 
 @pytest.mark.parametrize(
     "gpus, combos, expected",
     [
-        (2, 64, (2357.4375, 16, 6, 20, 1407)),
-        (4, 729, (1300.203094777563, 171, 0, 138, 2935)),
+        (2, 64, (2357.4375, 16, (0, 3, 2, 4, 5, 1), 20, 1406)),
+        (4, 729, (1300.203094777563, 171, (0, 2, 3, 4, 5, 1), 138, 2926)),
     ],
 )
 def test_kernel_skips_width_vectors_that_cannot_win(sample_jobs, gpus, combos, expected):
-    # the bundled jobs: (makespan, combo, perm) as the unpruned search finds
+    # the bundled jobs: (makespan, combo, order) as the unpruned search finds
     # them, from only 20 of 64 and 138 of 729 width vectors searched, in
-    # 1407 and 2935 search nodes; the counts depend on the jobs alone, so
+    # 1406 and 2926 search nodes; the counts depend on the jobs alone, so
     # turning the pruning off fails here
     inputs = _kernel_inputs(sample_jobs, pc.ClusterSpec(gpus))
     assert len(inputs[1]) == combos
     assert sched._best_list_makespan(*inputs) == expected
+
+
+def test_permutation_search_breaks_ties_by_least_start_sets():
+    # two list schedules of the winning width vector reach 7.0.  The first
+    # priority order to reach it starts j0, j1 and j4 at 0, with start sets
+    # (0, 1, 4), (3,), (), (2,); the other starts j0, j1 and j3 at 0, with
+    # (0, 1, 3), (4,), (2,), the lexicographically least, so it wins
+    jobs = [
+        _job("j0", 4.0, {}),
+        _job("j1", 1e-15, {2: 2.0}),
+        _job("j2", 12.0, {2: 4.0}),
+        _job("j3", 1e-15, {2: 2.0}),
+        _job("j4", 4.0, {}),
+    ]
+    best, _ = pc.permutation_search(jobs, pc.ClusterSpec(3, (1, 2)))
+    assert best == pc.Schedule(
+        (
+            pc.Placement("j0", 1, (0,), 0.0, 4.0),
+            pc.Placement("j1", 1, (1,), 0.0, 1e-15),
+            pc.Placement("j3", 1, (2,), 0.0, 1e-15),
+            pc.Placement("j4", 1, (1,), 1e-15, 4.0 + 1e-15),
+            pc.Placement("j2", 2, (0, 2), 4.0, 7.0),
+        ),
+        7.0,
+    )
 
 
 @st.composite
