@@ -8,10 +8,12 @@ go to files in --out (JSON/CSV at full precision, SVG plots).  Each
 ``cmd_*`` renders its files (validating every schedule) and returns them with
 its report lines; only ``main`` writes the files, atomically, so a failing
 run leaves none, and then writes the report to stdout, one ``write`` per
-line.  ``roofline`` keeps one row list of ``(name, intensity, throughput,
-classification)``: its CSV (``_roofline_csv``, one f-string per row), its
-SVG and its lazy report all read that list, and each file is rendered as
-one string with no whole-document copy.  Inputs are UTF-8, with or without a
+line.  ``roofline`` keeps one row list of ``(name, intensity, throughput)``
+and one parallel list of classifications: its CSV (``_roofline_csv``, one
+f-string per row), its SVG and its lazy report all read those lists.  Both
+of its files are streamed: each is an iterator of text pieces that ``main``
+writes into the staged file a batch at a time, so no whole document is ever
+held in memory.  Inputs are UTF-8, with or without a
 byte-order mark.  Exit codes, each error class's ``exit_code``: 2
 ingestion errors (unreadable, non-UTF-8 or invalid input) and output errors
 (an --out that cannot be written, or a closed stdout), 3 analysis errors
@@ -22,13 +24,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import itertools
 import math
 import os
 import sys
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import model, svg
@@ -50,33 +51,45 @@ def _read_text(path: str | Path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _write_outputs(out: str, files: dict[str, str]) -> None:
+# pieces of a streamed file joined per write: one write per piece costs
+# more calls, one join of them all holds the whole document
+_PIECES_PER_WRITE = 2048
+
+
+def _write_outputs(out: str, files: dict[str, str | Iterable[str]]) -> None:
     """Write every rendered file under ``out``, or none of them.
 
-    Each file is staged as ``<name>.tmp`` and renamed into place only after
-    all are staged and no target is a directory; on any error every staged
-    file is removed.
+    A file is its text, or an iterator of text pieces that is written
+    ``_PIECES_PER_WRITE`` pieces at a time.  Each file is staged as
+    ``<name>.tmp`` and renamed into place only after all are staged and no
+    target is a directory; on any error, also one raised by a piece
+    iterator, every staged file is removed.  An ``OSError`` becomes an
+    ``OutputError``; any other error is raised as it is.
     """
     out_dir = Path(out)
     staged: list[Path] = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
+        for name, content in files.items():
             tmp = out_dir / (name + ".tmp")
             with open(tmp, "w", encoding="utf-8") as fh:
                 staged.append(tmp)
-                fh.write(text)
+                pieces = iter((content,) if isinstance(content, str) else content)
+                while batch := list(itertools.islice(pieces, _PIECES_PER_WRITE)):
+                    fh.write("".join(batch))
         for name in files:
             target = out_dir / name
             if target.is_dir():
                 raise IsADirectoryError(f"is a directory: {target}")
         for name in files:
             os.replace(out_dir / (name + ".tmp"), out_dir / name)
-    except OSError as exc:
+    except BaseException as exc:
         for tmp in staged:
             with contextlib.suppress(OSError):
                 tmp.unlink()
-        raise OutputError(f"cannot write {out}: {exc}") from None
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {out}: {exc}") from None
+        raise
 
 
 def _parse_space(value: str) -> tuple[str, int]:
@@ -168,7 +181,7 @@ def cmd_characterize(args) -> tuple[dict[str, str], Iterable[str]]:
     return files, lines
 
 
-def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
+def cmd_roofline(args) -> tuple[dict[str, Iterable[str]], Iterable[str]]:
     transaction_bytes = args.transaction_bytes
     # checked here, before any file is read, so that this error wins over
     # input errors; roof.intensity and model.kernel_summary keep their own
@@ -178,9 +191,9 @@ def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
     machine_path = Path(args.machine) if args.machine else sample_path("machine.json")
     machine = roof.parse_machine(_read_text(machine_path))
     multi = len(args.kernels) > 1
-    # the one row list, read by the CSV, the SVG and the report; each row's
-    # classification is added in place once every file is parsed
-    rows: list[tuple] = []
+    # the one row list, read by the CSV, the SVG and the report, with its
+    # classifications in a parallel list once every file is parsed
+    rows: list[tuple[str, float, float]] = []
     for path_str in args.kernels:
         path = Path(path_str)
         records = model.parse_kernels(_read_text(path), _detect_format(path))
@@ -202,53 +215,53 @@ def cmd_roofline(args) -> tuple[dict[str, str], Iterable[str]]:
     ridge = machine.ridge("single")
     peak = machine.peak("single")
     bandwidth = machine.mem_bandwidth_gbps
-    for i, (name, intensity, throughput) in enumerate(rows):
-        rows[i] = (name, intensity, throughput, roof.classify_at(ridge, intensity))
+    labels = []
+    for name, intensity, throughput in rows:
+        labels.append(roof.classify_at(ridge, intensity))
         if math.isfinite(intensity):
             ceiling = roof.ceiling_at(peak, bandwidth, intensity)
             if throughput > ceiling:
                 _print_stderr(f"note: {name} throughput {throughput:.6g} exceeds the "
                               f"configured ceiling {ceiling:.6g} GFLOP/s")
 
+    # the SVG's layout, and its range check, run here; both files and the
+    # report are lazy, so neither file nor the report is ever held whole
     files = {
-        "roofline.csv": _roofline_csv(rows),
-        "roofline.svg": svg.roofline_svg(machine, rows),
+        "roofline.csv": _roofline_csv(rows, labels),
+        "roofline.svg": svg.roofline_svg_pieces(machine, rows),
     }
-    # the report is lazy, so its lines are never all held at once
     return files, itertools.chain(
         [f"machine {machine.name}: single-precision ridge at {ridge:.6g} FLOPs/byte"],
         (f"  {n}: intensity {i:.6g} FLOPs/B, throughput {t:.6g} GFLOP/s -> {c}"
-         for n, i, t, c in rows),
+         for (n, i, t), c in zip(rows, labels)),
     )
 
 
-def _roofline_csv(rows: list[tuple]) -> str:
-    """roofline.csv for ``(name, intensity, throughput, classification)``
-    rows: the text ``csv.writer`` writes, one f-string per row.
+def _roofline_csv(rows: list[tuple], labels: list[str]) -> Iterator[str]:
+    """roofline.csv for ``(name, intensity, throughput)`` rows and their
+    classifications: the text ``csv.writer`` writes, as the header and then
+    one f-string per row.
 
     Only a name can need quoting: a float's ``repr`` and the three labels
     hold no ``,``, ``"``, CR or LF.  So the form is chosen from the names
-    before any cell is formatted.  csv quotes LF, its line terminator, but
+    before any row is emitted.  csv quotes LF, its line terminator, but
     not a lone CR, which a reader takes for a line break: with a CR in any
     name every cell is quoted, the header too; else a name holding ``,``,
     ``"`` or LF is, by csv's minimal rule.  A quoted name's ``"`` is doubled.
     """
-    out = io.StringIO()
-    write = out.write
     if any("\r" in row[0] for row in rows):
-        write('"name","intensity","throughput","classification"\n')
-        for name, intensity, throughput, classification in rows:
+        yield '"name","intensity","throughput","classification"\n'
+        for (name, intensity, throughput), label in zip(rows, labels):
             name = name.replace('"', '""')
-            write(f'"{name}","{intensity!r}","{throughput!r}","{classification}"\n')
+            yield f'"{name}","{intensity!r}","{throughput!r}","{label}"\n'
     else:
-        write("name,intensity,throughput,classification\n")
-        for name, intensity, throughput, classification in rows:
+        yield "name,intensity,throughput,classification\n"
+        for (name, intensity, throughput), label in zip(rows, labels):
             if '"' in name:
                 name = '"' + name.replace('"', '""') + '"'
             elif "," in name or "\n" in name:
                 name = f'"{name}"'
-            write(f"{name},{intensity!r},{throughput!r},{classification}\n")
-    return out.getvalue()
+            yield f"{name},{intensity!r},{throughput!r},{label}\n"
 
 
 def cmd_schedule(args) -> tuple[dict[str, str], Iterable[str]]:

@@ -202,8 +202,22 @@ def heuristic_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     return list_schedule(ordered, widths, cluster)
 
 
+def _mask_members(n: int) -> list[tuple[int, ...]]:
+    """Per mask of ``n`` jobs, its jobs in ascending index; job j is bit
+    n - 1 - j.  It depends on the job count alone, so one table serves every
+    width vector of a search."""
+    members: list[tuple[int, ...]] = [()]
+    for j in reversed(range(n)):
+        members += [(j,) + js for js in members]
+    return members
+
+
 def _least_list_makespan(
-    ws: Sequence[int], rts: Sequence[float], gpu_count: int, best: float
+    ws: Sequence[int],
+    rts: Sequence[float],
+    gpu_count: int,
+    best: float,
+    members: Sequence[tuple[int, ...]],
 ) -> tuple[float, tuple[int, ...], int]:
     """Least greedy-list makespan over every priority order, if below ``best``.
 
@@ -226,17 +240,15 @@ def _least_list_makespan(
     releases every job ending then, also one whose end rounded to its
     start.  An event is abandoned once an end so far reaches ``best``, or
     once a waiting job, which starts at ``t`` or later, would.  Jobs are
-    the bits of a mask.
+    the bits of a mask, and ``members`` is ``_mask_members(len(ws))``.
     """
-    # per mask: its jobs in ascending index, their width, least width
-    # (P + 1 if none) and longest runtime.  Job j is bit n - 1 - j, so of two
-    # maximal sets, which never contain one another, the one holding the
-    # least job in only one of them has the larger mask: ascending job-index
-    # tuples are descending masks.
-    members, wsum, minw, maxrt = [()], [0], [gpu_count + 1], [0.0]
+    # per mask: its jobs' width, least width (P + 1 if none) and longest
+    # runtime.  Job j is bit n - 1 - j, so of two maximal sets, which never
+    # contain one another, the one holding the least job in only one of them
+    # has the larger mask: ascending job-index tuples are descending masks.
+    wsum, minw, maxrt = [0], [gpu_count + 1], [0.0]
     for j in reversed(range(len(ws))):
         w, rt = ws[j], rts[j]
-        members += [(j,) + js for js in members]
         wsum += [x + w for x in wsum]
         minw += [x if x < w else w for x in minw]
         maxrt += [x if x > rt else rt for x in maxrt]
@@ -328,6 +340,7 @@ def _best_list_makespan(
     """
     best_m, best_c, best_order = math.inf, -1, ()
     searched = nodes = 0
+    members = _mask_members(len(widths[0]))
     for c, (rts, ws) in enumerate(zip(runtimes, widths)):
         # area / P summed term by term stays at most the makespan, so it
         # cannot overflow while the makespan is finite
@@ -335,7 +348,7 @@ def _best_list_makespan(
         if bound >= best_m * _BOUND_MARGIN:
             continue
         searched += 1
-        makespan, order, visited = _least_list_makespan(ws, rts, gpu_count, best_m)
+        makespan, order, visited = _least_list_makespan(ws, rts, gpu_count, best_m, members)
         nodes += visited
         if makespan < best_m:
             best_m, best_c, best_order = makespan, c, order

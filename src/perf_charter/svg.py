@@ -2,13 +2,15 @@
 
 Plain string building on purpose: output is deterministic, diffable, and
 testable by substring inspection.  No timestamps or external resources are
-embedded, so identical inputs yield byte-identical files.
+embedded, so identical inputs yield byte-identical files.  The roofline
+plot, which grows with its points, can also be had as an iterator of text
+pieces (``roofline_svg_pieces``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
 from .roofline import MachineModel
@@ -138,9 +140,22 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
 
 
 def roofline_svg(machine: MachineModel, points: Sequence[tuple]) -> str:
+    """The roofline plot of ``points`` as one string: the pieces of
+    ``roofline_svg_pieces`` joined."""
+    return "".join(roofline_svg_pieces(machine, points))
+
+
+def roofline_svg_pieces(machine: MachineModel, points: Sequence[tuple]) -> Iterator[str]:
     """The roofline plot of ``points``: rows whose first three fields are
     name, intensity and throughput (a ``RooflinePoint`` or a longer row).
-    Only points with a finite positive intensity and throughput are drawn."""
+    Only points with a finite positive intensity and throughput are drawn.
+
+    The layout is done at once, so a plot range that overflows a float
+    raises here.  The document comes back as an iterator of text pieces
+    (the head, one piece per point, the closing tag) whose concatenation
+    is the whole SVG, so a caller that writes them as they come never
+    holds it all at once.
+    """
     width, height = 640, 440
     finite = [p for p in points if 0 < p[1] < math.inf and p[2] > 0]
     ridges = [machine.ridge(p) for p in machine.peaks]
@@ -193,17 +208,26 @@ def roofline_svg(machine: MachineModel, points: Sequence[tuple]) -> str:
             f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(_text(x_of(x_hi) - 4, y_of(peak) - 4, f"{precision} {peak:.6g}", color=color, anchor="end"))
-    # one string per point, its circle and its label; rows are read by
-    # index, as unpacking a longer row into ``*_`` builds a list per point
-    append = parts.append
-    for i, row in enumerate(finite):
-        x, y = x_of(row[1]), y_of(row[2])
-        append(
-            f'<circle cx="{_f(x)}" cy="{_f(y)}" r="4" fill="{PALETTE[i % len(PALETTE)]}" '
-            f'stroke="#222"/>\n' + _text(x + 6, y - 5, row[0])
-        )
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+    parts.append("")
+    head = "\n".join(parts)
+    f, log10 = _f, math.log10
+
+    def pieces() -> Iterator[str]:
+        yield head
+        # one piece per point, its circle and its label, each coordinate
+        # computed as x_of and y_of do; rows are read by index, as unpacking
+        # a longer row into ``*_`` builds a list per point
+        for i, row in enumerate(finite):
+            x = margin_l + plot_w * (log10(row[1]) - log_x_lo) / x_span
+            y = margin_t + plot_h * (1 - (log10(row[2]) - log_y_lo) / y_span)
+            yield (
+                f'<circle cx="{f(x)}" cy="{f(y)}" r="4" fill="{PALETTE[i % len(PALETTE)]}" '
+                f'stroke="#222"/>\n<text x="{f(x + 6)}" y="{f(y - 5)}" fill="#111" '
+                f'text-anchor="start">{escape(row[0])}</text>\n'
+            )
+        yield "</svg>\n"
+
+    return pieces()
 
 
 def gantt_svg(schedule: Schedule, gpu_count: int) -> str:

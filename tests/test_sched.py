@@ -313,8 +313,9 @@ def test_kernel_equals_unpruned_oracle_at_release_edges(instance):
     assert sched._best_list_makespan(*inputs)[:3] == best_list_makespan(*inputs)
     # each width vector's own least makespan and order too, which no
     # incumbent hides
+    members = sched._mask_members(len(instance[0]))
     for rts, ws in zip(runtimes, combos):
-        least, order, _ = sched._least_list_makespan(ws, rts, gpus, math.inf)
+        least, order, _ = sched._least_list_makespan(ws, rts, gpus, math.inf, members)
         assert (least, order) == best_list_makespan([rts], [ws], gpus)[::2]
 
 
