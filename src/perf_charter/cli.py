@@ -17,7 +17,7 @@ held in memory.  Inputs are UTF-8, with or without a
 byte-order mark.  Exit codes, each error class's ``exit_code``: 2
 ingestion errors (unreadable, non-UTF-8 or invalid input) and output errors
 (an --out that cannot be written, or a closed stdout), 3 analysis errors
-(and a bare ``ValueError``), 4 search-space guard.
+(and a bare ``ValueError``), 4 a search's job limit or work budget.
 """
 
 from __future__ import annotations
@@ -63,12 +63,16 @@ def _write_outputs(out: str, files: dict[str, str | Iterable[str]]) -> None:
     ``_PIECES_PER_WRITE`` pieces at a time.  Each file is staged as
     ``<name>.tmp`` and renamed into place only after all are staged and no
     target is a directory; on any error, also one raised by a piece
-    iterator, every staged file is removed.  An ``OSError`` becomes an
-    ``OutputError``; any other error is raised as it is.
+    iterator, every staged file is removed, and then each directory this
+    call created, deepest first (``rmdir`` only, so a directory that holds
+    anything stays).  An ``OSError`` becomes an ``OutputError``; any other
+    error is raised as it is.
     """
     out_dir = Path(out)
     staged: list[Path] = []
+    made: list[Path] = []
     try:
+        made = list(itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():
             tmp = out_dir / (name + ".tmp")
@@ -87,6 +91,9 @@ def _write_outputs(out: str, files: dict[str, str | Iterable[str]]) -> None:
         for tmp in staged:
             with contextlib.suppress(OSError):
                 tmp.unlink()
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
         if isinstance(exc, OSError):
             raise OutputError(f"cannot write {out}: {exc}") from None
         raise

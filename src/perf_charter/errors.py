@@ -47,6 +47,7 @@ class NonNumericCell(ParseError):
 
 
 class SearchSpaceTooLarge(PerfCharterError):
-    """The search-space guard tripped; the message names the size that tripped it."""
+    """A search's job limit or work budget tripped; the message names the
+    count and the limit it passed."""
 
     exit_code = 4

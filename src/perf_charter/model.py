@@ -124,25 +124,23 @@ class MetricMatrix:
 
 
 class KernelRecord(NamedTuple("KernelRecord", [
-    ("class_name", str), ("time_ms", float), ("calls", int), ("unique_kernels", int),
-    ("flops", int), ("transactions", int),
+    ("class_name", str), ("time_ms", float), ("flops", int), ("transactions", int),
 ])):
-    """Aggregated profiler statistics for one kernel class."""
+    """Aggregated profiler statistics for one kernel class: what the roofline
+    reads.  The ``calls`` and ``unique`` columns are checked on input, not
+    kept."""
 
     __slots__ = ()
     _make = classmethod(_checked_make)
 
-    def __new__(cls, class_name: str, time_ms: float, calls: int, unique_kernels: int,
-                flops: int, transactions: int):
+    def __new__(cls, class_name: str, time_ms: float, flops: int, transactions: int):
         if time_ms < 0:
             raise ValueError(f"{class_name}: negative time")
         if not math.isfinite(time_ms):
             raise ValueError(f"{class_name}: time is not finite")
-        if calls < 0 or unique_kernels < 0 or flops < 0 or transactions < 0:
+        if flops < 0 or transactions < 0:
             raise ValueError(f"{class_name}: negative counters")
-        return tuple.__new__(
-            cls, (class_name, time_ms, calls, unique_kernels, flops, transactions)
-        )
+        return tuple.__new__(cls, (class_name, time_ms, flops, transactions))
 
 
 class Job(NamedTuple("Job", [("name", str), ("t1_minutes", float), ("speedup", dict[int, float])])):
@@ -398,12 +396,16 @@ def parse_kernels(text: str, format: str = "csv") -> list[KernelRecord]:
     for line, row in rows:
         get = row.get
         try:
+            name = _name(get("class"), line, "kernel class")
+            time_ms = _number(get("time_ms"), line, "time_ms")
+            # checked in column order, so a bad cell's message stays the same,
+            # but not stored: nothing reads them
+            _count(get("calls"), line, "calls")
+            _count(get("unique"), line, "unique")
             records.append(
                 KernelRecord(
-                    _name(get("class"), line, "kernel class"),
-                    _number(get("time_ms"), line, "time_ms"),
-                    _count(get("calls"), line, "calls"),
-                    _count(get("unique"), line, "unique"),
+                    name,
+                    time_ms,
                     _count(get("flops"), line, "flops"),
                     _count(get("transactions"), line, "transactions"),
                 )

@@ -26,30 +26,36 @@ widths and start times only and hands them to ``_placed``, the one GPU-id
 rule: each job takes the lowest-numbered GPUs that no earlier-starting job
 holds over its interval.
 Every scheduler is plain, single-threaded Python, so a result depends on its
-inputs alone.
+inputs alone.  The two searches share one job limit, ``_JOB_LIMIT``, and one
+work budget, ``_SEARCH_BUDGET``: the list search counts the width vectors it
+visits plus its start-set nodes, ``exact_schedule`` its ``dfs`` calls, and
+either raises ``SearchSpaceTooLarge`` once its count passes the budget.  The
+count does not depend on the machine, so neither does the refusal.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AnalysisError, SearchSpaceTooLarge
 from .model import Job, _checked_make
 
-
-# hard ceiling on width-vector x permutation candidates, independent of the
-# job-count guard; a wide width menu can explode the space on its own
-_CANDIDATE_CAP = 100_000_000
 
 # exact_schedule's deadline-aware bound and _best_list_makespan's width-vector
 # bound prune only what cannot beat the incumbent by more than this relative
 # margin
 _BOUND_MARGIN = 1.0 + 1e-9
 
-_PERMUTATION_LIMIT = 8  # permutation_search's job-count guard
-_EXACT_LIMIT = 10  # exact_schedule's job-count guard
+# both searches refuse more jobs than this: the list search's per-mask
+# tables hold 2^n entries whatever the pruning
+_JOB_LIMIT = 10
+
+# the work either search may do: width vectors plus start-set nodes for the
+# list search, dfs calls for exact_schedule.  A count, not a clock, so a
+# refusal does not depend on the machine
+_SEARCH_BUDGET = 4_000_000
 
 
 def _powers_of_two_upto(p: int) -> tuple[int, ...]:
@@ -202,6 +208,11 @@ def heuristic_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     return list_schedule(ordered, widths, cluster)
 
 
+def _over_budget(work: str) -> SearchSpaceTooLarge:
+    """The refusal of a search whose ``work`` passed ``_SEARCH_BUDGET``."""
+    return SearchSpaceTooLarge(f"{work} > search budget {_SEARCH_BUDGET}")
+
+
 def _mask_members(n: int) -> list[tuple[int, ...]]:
     """Per mask of ``n`` jobs, its jobs in ascending index; job j is bit
     n - 1 - j.  It depends on the job count alone, so one table serves every
@@ -218,6 +229,7 @@ def _least_list_makespan(
     gpu_count: int,
     best: float,
     members: Sequence[tuple[int, ...]],
+    budget: float = math.inf,
 ) -> tuple[float, tuple[int, ...], int]:
     """Least greedy-list makespan over every priority order, if below ``best``.
 
@@ -241,6 +253,7 @@ def _least_list_makespan(
     start.  An event is abandoned once an end so far reaches ``best``, or
     once a waiting job, which starts at ``t`` or later, would.  Jobs are
     the bits of a mask, and ``members`` is ``_mask_members(len(ws))``.
+    Visiting more than ``budget`` nodes raises ``SearchSpaceTooLarge``.
     """
     # per mask: its jobs' width, least width (P + 1 if none) and longest
     # runtime.  Job j is bit n - 1 - j, so of two maximal sets, which never
@@ -263,6 +276,8 @@ def _least_list_makespan(
         if makespan >= best or t + maxrt[waiting] >= best:
             continue  # the incumbent fell after this event was pushed
         nodes += 1
+        if nodes > budget:
+            raise _over_budget("width vectors + start-set nodes")
         sets = start_sets.get((waiting, free))
         if sets is None:
             # listed in ascending mask order and pushed in turn, so popped in
@@ -317,38 +332,47 @@ def _maximal_sets(waiting: int, free: int, wsum: list[int], minw: list[int]) -> 
 
 
 def _best_list_makespan(
-    runtimes: list[tuple[float, ...]],
-    widths: list[tuple[int, ...]],
+    runtimes: Iterable[Sequence[float]],
+    widths: Iterable[Sequence[int]],
     gpu_count: int,
 ) -> tuple[float, int, tuple[int, ...], int, int]:
     """Least greedy-list makespan over every (width vector, priority order).
 
-    ``widths[c]``/``runtimes[c]`` give each job's width and runtime in width
-    vector ``c``.  Returns ``(makespan, combo, order, searched, nodes)``:
-    the winner, the number of width vectors searched and the search nodes
-    they took; ``(inf, -1, (), ...)`` when every makespan overflows.  A
-    width vector is skipped when no list schedule of it can beat the
-    incumbent: none ends before its longest job, nor before its GPU time
-    spread over every GPU.  The margin keeps the rounding of that sum from
-    skipping a vector that could still win.  Any other vector is searched
-    over its maximal start sets (``_least_list_makespan``) and becomes the
-    incumbent only if it beats it.  So ties resolve to the first width
-    vector to reach the least makespan, and within it to the list schedule
-    whose sequence of start sets is lexicographically least, each set read
-    as its ascending job indices.  The order lists those sets' jobs set
-    after set.
+    The ``c``-th items of ``widths`` and ``runtimes`` give each job's width
+    and runtime in width vector ``c``; both are read once, in step.  Returns
+    ``(makespan, combo, order, searched, nodes)``: the winner, the number of
+    width vectors searched and the search nodes they took; ``(inf, -1, (),
+    ...)`` when every makespan overflows.  A width vector is skipped when no
+    list schedule of it can beat the incumbent: none ends before its longest
+    job, nor before its GPU time spread over every GPU.  The margin keeps
+    the rounding of that sum from skipping a vector that could still win.
+    Any other vector is searched over its maximal start sets
+    (``_least_list_makespan``) and becomes the incumbent only if it beats
+    it.  So ties resolve to the first width vector to reach the least
+    makespan, and within it to the list schedule whose sequence of start
+    sets is lexicographically least, each set read as its ascending job
+    indices.  The order lists those sets' jobs set after set.  Each width
+    vector visited and each search node is one step of work; more than
+    ``_SEARCH_BUDGET`` steps raise ``SearchSpaceTooLarge``.
     """
     best_m, best_c, best_order = math.inf, -1, ()
     searched = nodes = 0
-    members = _mask_members(len(widths[0]))
+    members = None
     for c, (rts, ws) in enumerate(zip(runtimes, widths)):
+        left = _SEARCH_BUDGET - (c + 1) - nodes
+        if left < 0:
+            raise _over_budget("width vectors + start-set nodes")
+        if members is None:
+            members = _mask_members(len(ws))
         # area / P summed term by term stays at most the makespan, so it
         # cannot overflow while the makespan is finite
         bound = max(max(rts), sum(rt * (w / gpu_count) for rt, w in zip(rts, ws)))
         if bound >= best_m * _BOUND_MARGIN:
             continue
         searched += 1
-        makespan, order, visited = _least_list_makespan(ws, rts, gpu_count, best_m, members)
+        makespan, order, visited = _least_list_makespan(
+            ws, rts, gpu_count, best_m, members, left
+        )
         nodes += visited
         if makespan < best_m:
             best_m, best_c, best_order = makespan, c, order
@@ -358,13 +382,16 @@ def _best_list_makespan(
 def permutation_search(jobs: list[Job], cluster: ClusterSpec) -> tuple[Schedule, int]:
     """Exhaustive search over (width vector) x (priority permutation).
 
-    The space holds prod|options| * n! candidates, so n is guarded by
-    ``_PERMUTATION_LIMIT`` (8 jobs) and the space by ``_CANDIDATE_CAP``; the
-    returned count is that size, not the work done.
-    ``_best_list_makespan`` skips each width vector whose lower bound cannot
-    beat the best makespan so far and searches each other one over its
-    maximal start sets, meeting each distinct list schedule once instead of
-    once per order; neither changes the least makespan.  Ties resolve to
+    The space holds prod|options| * n! candidates; the returned count is that
+    size, not the work done.  More than ``_JOB_LIMIT`` jobs, or more width
+    vectors than ``_SEARCH_BUDGET``, are refused before any is built, and
+    the search itself stops once its work passes that budget
+    (``SearchSpaceTooLarge`` each time).  The width vectors and their
+    runtimes are streamed, never listed.  ``_best_list_makespan`` skips
+    each width vector whose lower bound cannot beat the best makespan so
+    far and searches each other one over its maximal start sets, meeting
+    each distinct list schedule once instead of once per order; neither
+    changes the least makespan.  Ties resolve to
     the first width vector in ``itertools.product`` order to reach it, and
     within it to the list schedule whose sequence of start sets, each read
     as its ascending job indices, is lexicographically least.  That
@@ -374,27 +401,31 @@ def permutation_search(jobs: list[Job], cluster: ClusterSpec) -> tuple[Schedule,
     float.
     """
     n = len(jobs)
+    if n > _JOB_LIMIT:
+        raise SearchSpaceTooLarge(f"{n} jobs > limit {_JOB_LIMIT}")
     if n == 0:
         return Schedule((), 0.0), 1
     options = [_width_options(job, cluster) for job in jobs]
-    bound = math.factorial(n) * math.prod(len(o) for o in options)
-    if n > _PERMUTATION_LIMIT:
-        raise SearchSpaceTooLarge(
-            f"{n} jobs > limit {_PERMUTATION_LIMIT} (candidate bound {bound})"
-        )
-    if bound > _CANDIDATE_CAP:
-        raise SearchSpaceTooLarge(f"candidate bound {bound} exceeds {_CANDIDATE_CAP}")
-    combos = list(itertools.product(*options))
-    runtimes = [tuple(runtime(job, w) for job, w in zip(jobs, c)) for c in combos]
-
-    best_m, best_c, order, _, _ = _best_list_makespan(runtimes, combos, cluster.gpu_count)
+    vectors = math.prod(len(o) for o in options)
+    if vectors > _SEARCH_BUDGET:
+        raise _over_budget(f"{vectors} width vectors")
+    runtimes = [[runtime(job, w) for w in o] for job, o in zip(jobs, options)]
+    best_m, best_c, order, _, _ = _best_list_makespan(
+        itertools.product(*runtimes), itertools.product(*options), cluster.gpu_count
+    )
     if best_c < 0:
         raise AnalysisError("a job's end time overflows a float")
-    width_map = {job.name: w for job, w in zip(jobs, combos[best_c])}
+    # the winner's widths are the mixed-radix digits of its index, the last
+    # job's the fastest-varying, as itertools.product runs
+    digits = []
+    for o in reversed(options):
+        best_c, digit = divmod(best_c, len(o))
+        digits.append(o[digit])
+    width_map = {job.name: w for job, w in zip(jobs, reversed(digits))}
     schedule = list_schedule([jobs[j] for j in order], width_map, cluster)
     if schedule.makespan != best_m:
         raise AnalysisError("search kernel and placement engine disagree")
-    return schedule, bound
+    return schedule, math.factorial(n) * vectors
 
 
 def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
@@ -424,11 +455,12 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     that cannot end in time makes the second one infinite.  The search is
     seeded with the heuristic schedule; among equal optima it returns the
     first strict improvement in search order, or the seed if nothing beats
-    it.
+    it.  More than ``_JOB_LIMIT`` jobs, or more than ``_SEARCH_BUDGET`` calls
+    of the search, raise ``SearchSpaceTooLarge``.
     """
     n = len(jobs)
-    if n > _EXACT_LIMIT:
-        raise SearchSpaceTooLarge(f"{n} jobs > limit {_EXACT_LIMIT}")
+    if n > _JOB_LIMIT:
+        raise SearchSpaceTooLarge(f"{n} jobs > limit {_JOB_LIMIT}")
     if n == 0:
         return Schedule((), 0.0)
     p_total = cluster.gpu_count
@@ -464,6 +496,7 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     remaining = set(range(n))
     # branch longest jobs first: good schedules appear early, tight pruning
     branch_order = sorted(range(n), key=lambda j: (-min_rt[j], j))
+    calls = 0
 
     def deadline_data(s: float, fit: dict) -> tuple[float, list[float]]:
         """``(need, least)`` at start ``s`` for the jobs in ``remaining``.
@@ -489,7 +522,10 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
         return need, least
 
     def dfs(cur_m: float, last_s: float, last_j: int, rem_area: float, live: list):
-        nonlocal best_m, best_pl
+        nonlocal best_m, best_pl, calls
+        calls += 1
+        if calls > _SEARCH_BUDGET:
+            raise _over_budget("branch-and-bound nodes")
         if not remaining:
             if cur_m < best_m:
                 best_m = cur_m

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import perf_charter as pc
-from perf_charter import cli, svg
+from perf_charter import cli, sched, svg
 from perf_charter import roofline as roof
 from cli_helpers import KERNEL_BENCHMARKS, cli_env, json_mirror, run_cli, write_rows
 
@@ -281,7 +282,23 @@ def test_write_outputs_removes_staged_files_when_a_piece_fails(tmp_path):
     files = {"first.json": "{}\n", "second.csv": pieces(), "third.svg": iter(["<svg/>\n"])}
     with pytest.raises(ValueError, match="bad piece"):
         cli._write_outputs(str(out), files)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_write_outputs_removes_only_the_directories_it_made(tmp_path):
+    # a failed write takes back each directory it created, deepest first,
+    # and leaves one that already existed
+    def pieces():
+        raise ValueError("bad piece")
+        yield
+
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "a" / "b" / "c", kept / "d", kept):
+        with pytest.raises(ValueError, match="bad piece"):
+            cli._write_outputs(str(out), {"x.csv": pieces()})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+    assert list(kept.iterdir()) == []
 
 
 def test_schedule_exact_p4(tmp_path):
@@ -351,15 +368,81 @@ def test_schedule_end_overflow_exits_3_and_writes_nothing(tmp_path, method, case
 
 
 def test_schedule_nine_jobs_exits_4(tmp_path):
-    jobs = tmp_path / "jobs9.csv"
-    lines = ["name,t1_minutes,s2"] + [f"j{i},10,1.5" for i in range(9)]
-    jobs.write_text("\n".join(lines) + "\n")
-    result = run_cli(
-        "schedule", "--jobs", str(jobs), "--gpus", "2", "--method", "permutation",
-        "--out", str(tmp_path / "o"),
+    # nine jobs are under the job limit and searched; eleven exit 4
+    for n, code in ((9, 0), (11, 4)):
+        jobs = tmp_path / f"jobs{n}.csv"
+        lines = ["name,t1_minutes,s2"] + [f"j{i},10,1.5" for i in range(n)]
+        jobs.write_text("\n".join(lines) + "\n")
+        result = run_cli(
+            "schedule", "--jobs", str(jobs), "--gpus", "2", "--method", "permutation",
+            "--out", str(tmp_path / f"o{n}"),
+        )
+        assert result.returncode == code, result.stderr
+    assert result.stderr == "error: 11 jobs > limit 10\n"
+    assert not (tmp_path / "o11").exists()
+
+
+# the bundled jobs plus two more, as in test_cli_extra
+_EIGHT_JOBS = (
+    pc.sample_path("jobs.csv").read_text()
+    + "extra_a,120,1.8,3.1,\nextra_b,45,1.6,2.4,3.0\n"
+)
+
+
+def test_schedule_eight_jobs_p4_permutation_matches_exact(tmp_path):
+    jobs = tmp_path / "jobs8.csv"
+    jobs.write_text(_EIGHT_JOBS)
+    stdout, makespans = {}, {}
+    for method in ("permutation", "exact"):
+        out = tmp_path / method
+        result = run_cli(
+            "schedule", "--jobs", str(jobs), "--gpus", "4", "--method", method,
+            "--out", str(out),
+        )
+        assert result.returncode == 0, result.stderr
+        stdout[method] = result.stdout
+        makespans[method] = json.loads((out / "schedule.json").read_text())["makespan_min"]
+    # the space is 3^6 * 2^2 * 8! candidates, far more than the budget, but
+    # the search visits 6 561 width vectors and about 219 000 nodes of it
+    assert "(explored 264539520 candidates)" in stdout["permutation"]
+    assert makespans == {"permutation": 1300.203094777563, "exact": 1300.203094777563}
+
+
+@pytest.mark.parametrize("method, message", [
+    # 729 width vectors plus 2 926 start-set nodes, and 2 664 dfs calls
+    ("permutation", "width vectors + start-set nodes"),
+    ("exact", "branch-and-bound nodes"),
+])
+def test_schedule_over_budget_exits_4_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, method, message
+):
+    monkeypatch.setattr(sched, "_SEARCH_BUDGET", 1000)
+    out = tmp_path / "a" / "out"
+    argv = ["schedule", "--jobs", JOBS, "--gpus", "4", "--method", method, "--out", str(out)]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message} > search budget 1000\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_schedule_refuses_too_many_width_vectors_at_once(tmp_path, capsys):
+    # 10 jobs x 8 widths is 8^10 width vectors, refused before one is built
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_text(
+        "name,t1_minutes," + ",".join(f"s{w}" for w in range(2, 9)) + "\n"
+        + "".join(f"j{i},10," + ",".join(str(0.9 * w) for w in range(2, 9)) + "\n"
+                  for i in range(10))
     )
-    assert result.returncode == 4
-    assert "limit" in result.stderr
+    argv = ["schedule", "--jobs", str(jobs), "--gpus", "8", "--widths", "1,2,3,4,5,6,7,8",
+            "--out", str(tmp_path / "out")]
+    t0 = time.perf_counter()
+    assert cli.main(argv) == 4
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "error: 1073741824 width vectors > search budget 4000000\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_schedule_widths_flag(tmp_path):
@@ -775,7 +858,7 @@ _ELEVEN_JOBS = "name,t1_minutes,s2\n" + "".join(f"j{i},10,1.5\n" for i in range(
         pytest.param(
             {"jobs.csv": _ELEVEN_JOBS},
             ["schedule", "--jobs", "jobs.csv", "--gpus", "2", "--method", "permutation"],
-            4, "error: 11 jobs > limit 8 (candidate bound 81749606400)\n",
+            4, "error: 11 jobs > limit 10\n",
             id="permutation-guard",
         ),
         pytest.param(

@@ -135,9 +135,8 @@ def test_characterize_still_runs(tmp_path):
 RECORDS = [
     (pc.Job("a", 10.0, {2: 1.5}),
      "Job(name='a', t1_minutes=10.0, speedup={1: 1.0, 2: 1.5})", "t1_minutes"),
-    (pc.KernelRecord("gemm", 1.5, 3, 1, 100, 7),
-     "KernelRecord(class_name='gemm', time_ms=1.5, calls=3, unique_kernels=1, flops=100, "
-     "transactions=7)", "time_ms"),
+    (pc.KernelRecord("gemm", 1.5, 100, 7),
+     "KernelRecord(class_name='gemm', time_ms=1.5, flops=100, transactions=7)", "time_ms"),
     (pc.ClusterSpec(8, (8, 2)), "ClusterSpec(gpu_count=8, allowed_widths=(1, 2, 8))",
      "gpu_count"),
     (pc.Placement("a", 2, (0, 1), 0.0, 5.0),
@@ -162,8 +161,8 @@ def test_record_repr_and_immutability(record, text, field):
 # each checked record and its declared field types, in field order
 TYPE_HINTS = [
     (pc.Job, {"name": str, "t1_minutes": float, "speedup": dict[int, float]}),
-    (pc.KernelRecord, {"class_name": str, "time_ms": float, "calls": int,
-                       "unique_kernels": int, "flops": int, "transactions": int}),
+    (pc.KernelRecord, {"class_name": str, "time_ms": float, "flops": int,
+                       "transactions": int}),
     (pc.WorkloadProfile, {"name": str, "suite": pc.Suite, "metrics": dict[str, float]}),
     (pc.ClusterSpec, {"gpu_count": int, "allowed_widths": tuple[int, ...]}),
     (pc.MachineModel, {"name": str, "peaks": dict[str, float], "mem_bandwidth_gbps": float}),
@@ -199,7 +198,7 @@ def test_placement_asdict_keeps_the_schedule_json_key_order():
 # each validating record, a bad value for one field, and the constructor's message
 BAD_REPLACEMENTS = [
     (pc.Job("a", 10.0, {2: 1.5}), {"t1_minutes": -1.0}, "t1_minutes must be > 0"),
-    (pc.KernelRecord("k", 1.0, 1, 1, 1, 1), {"time_ms": -1.0}, "k: negative time"),
+    (pc.KernelRecord("k", 1.0, 1, 1), {"time_ms": -1.0}, "k: negative time"),
     (pc.WorkloadProfile("w", pc.Suite.MLPERF, {"x": 1.0}), {"metrics": {"x": -1.0}},
      "w: metric 'x' is negative"),
     (pc.ClusterSpec(4), {"gpu_count": 0}, "gpu_count must be a positive int, got 0"),

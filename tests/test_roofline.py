@@ -11,7 +11,7 @@ from cli_helpers import KERNEL_BENCHMARKS
 
 
 def _record(name, flops, transactions, time_ms=1.0):
-    return pc.KernelRecord(name, time_ms, 1, 1, flops, transactions)
+    return pc.KernelRecord(name, time_ms, flops, transactions)
 
 
 # --- intensity / throughput ---------------------------------------------------

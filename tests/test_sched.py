@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -159,15 +160,15 @@ def test_permutation_search_single_job(sample_jobs):
 
 
 def test_permutation_search_limit_guard(p4):
-    jobs = [_job(f"j{i}", 10.0, {}) for i in range(9)]
-    # the width menu collapses to {1}, so the bound is 9!
-    with pytest.raises(
-        SearchSpaceTooLarge,
-        match=rf"^9 jobs > limit 8 \(candidate bound {math.factorial(9)}\)$",
-    ):
+    jobs = [_job(f"j{i}", 10.0, {}) for i in range(11)]
+    with pytest.raises(SearchSpaceTooLarge, match="^11 jobs > limit 10$"):
         pc.permutation_search(jobs, p4)
-    best, _ = pc.permutation_search(jobs[:8], p4)
-    assert best.makespan == pytest.approx(20.0)
+    # the width menu collapses to {1}, so the space is 9! and one width
+    # vector, searched in 128 start-set nodes
+    best, explored = pc.permutation_search(jobs[:9], p4)
+    assert explored == math.factorial(9)
+    assert best.makespan == pytest.approx(30.0)
+    assert sched._best_list_makespan(*_kernel_inputs(jobs[:9], p4))[3:] == (1, 128)
 
 
 def test_permutation_search_six_jobs_structure(sample_jobs, p4):
@@ -433,6 +434,33 @@ def test_exact_empty_and_guard(p4):
     assert pc.exact_schedule([], p4).makespan == 0.0
     with pytest.raises(SearchSpaceTooLarge, match="^11 jobs > limit 10$"):
         pc.exact_schedule([_job(f"j{i}", 1.0, {}) for i in range(11)], p4)
+
+
+@pytest.mark.parametrize("search, work, message", [
+    # 729 width vectors visited plus 2 926 start-set nodes
+    (lambda jobs, cluster: pc.permutation_search(jobs, cluster)[0], 729 + 2926,
+     "width vectors + start-set nodes"),
+    (pc.exact_schedule, 2664, "branch-and-bound nodes"),
+])
+def test_searches_stop_once_their_work_passes_the_budget(
+    sample_jobs, p4, monkeypatch, search, work, message
+):
+    # the bundled jobs at 4 GPUs finish on a budget of exactly their work,
+    # and one step less stops them mid-search
+    monkeypatch.setattr(sched, "_SEARCH_BUDGET", work)
+    assert search(sample_jobs, p4).makespan == 1300.203094777563
+    monkeypatch.setattr(sched, "_SEARCH_BUDGET", work - 1)
+    refusal = f"^{re.escape(message)} > search budget {work - 1}$"
+    with pytest.raises(SearchSpaceTooLarge, match=refusal):
+        search(sample_jobs, p4)
+
+
+def test_permutation_search_refuses_more_width_vectors_than_the_budget(p4, monkeypatch):
+    # 3^6 = 729 width vectors: refused before the first is built
+    jobs = [_job(f"j{i}", 10.0, {2: 1.5, 4: 2.0}) for i in range(6)]
+    monkeypatch.setattr(sched, "_SEARCH_BUDGET", 728)
+    with pytest.raises(SearchSpaceTooLarge, match="^729 width vectors > search budget 728$"):
+        pc.permutation_search(jobs, p4)
 
 
 def _random_instance(rng, max_jobs=4, max_gpus=4):
