@@ -8,16 +8,18 @@ go to files in --out (JSON/CSV at full precision, SVG plots).  Each
 ``cmd_*`` renders its files (validating every schedule) and returns them with
 its report lines; only ``main`` writes the files, atomically, so a failing
 run leaves none, and then writes the report to stdout, one ``write`` per
-line.  ``roofline`` keeps one row list of ``(name, intensity, throughput)``
-and one parallel list of classifications: its CSV (``_roofline_csv``, one
-f-string per row), its SVG and its lazy report all read those lists.  Both
-of its files are streamed: each is an iterator of text pieces that ``main``
-writes into the staged file a batch at a time, so no whole document is ever
-held in memory.  Inputs are UTF-8, with or without a
-byte-order mark.  Exit codes, each error class's ``exit_code``: 2
-ingestion errors (unreadable, non-UTF-8 or invalid input) and output errors
-(an --out that cannot be written, or a closed stdout), 3 analysis errors
-(and a bare ``ValueError``), 4 a search's job limit or work budget.
+line.  ``roofline`` keeps its points as columns, with no object per point:
+a list of names, ``array("d")`` intensities and throughputs, and a list of
+classifications.  Its CSV (``_roofline_csv``, one f-string per row), its
+SVG and its lazy report all read those columns.  Both of its files are
+streamed: each is an iterator of text pieces that ``main`` writes into the
+staged file a batch at a time, so no whole document is ever held in
+memory.  Inputs are UTF-8, with or without a byte-order mark.  Exit
+codes, each error class's ``exit_code``: 2 ingestion errors (unreadable,
+non-UTF-8 or invalid input) and output errors (an --out that cannot be
+written, or a closed stdout), 3 analysis errors (and a bare
+``ValueError``; also a kernel time that underflows to 0 s), 4 a search's
+job limit or work budget.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ import math
 import os
 import sys
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 from . import model, svg
 from . import roofline as roof
 from . import sched
 from .datafiles import sample_path
-from .errors import OutputError, ParseError, PerfCharterError
+from .errors import AnalysisError, OutputError, ParseError, PerfCharterError
 from .model import _dump_json
 
 
@@ -52,21 +54,24 @@ def _read_text(path: str | Path) -> str:
 
 
 # pieces of a streamed file joined per write: one write per piece costs
-# more calls, one join of them all holds the whole document
-_PIECES_PER_WRITE = 2048
+# more calls, one join of them all holds the whole document.  A batch is
+# held three times while it is written (its list, its join, its encoding);
+# 256 roofline points make ~40 KB, and 2048 took ~1 MB more peak RSS on
+# roofline-json at the same wall time (smaller batches measured no lower)
+_PIECES_PER_WRITE = 256
 
 
 def _write_outputs(out: str, files: dict[str, str | Iterable[str]]) -> None:
     """Write every rendered file under ``out``, or none of them.
 
-    A file is its text, or an iterator of text pieces that is written
-    ``_PIECES_PER_WRITE`` pieces at a time.  Each file is staged as
-    ``<name>.tmp`` and renamed into place only after all are staged and no
-    target is a directory; on any error, also one raised by a piece
-    iterator, every staged file is removed, and then each directory this
-    call created, deepest first (``rmdir`` only, so a directory that holds
-    anything stays).  An ``OSError`` becomes an ``OutputError``; any other
-    error is raised as it is.
+    A file is its text, written in one ``write``, or an iterator of text
+    pieces that is written ``_PIECES_PER_WRITE`` (256) pieces at a time.
+    Each file is staged as ``<name>.tmp`` and renamed into place only after
+    all are staged and no target is a directory; on any error, also one
+    raised by a piece iterator, every staged file is removed, and then each
+    directory this call created, deepest first (``rmdir`` only, so a
+    directory that holds anything stays).  An ``OSError`` becomes an
+    ``OutputError``; any other error is raised as it is.
     """
     out_dir = Path(out)
     staged: list[Path] = []
@@ -189,6 +194,10 @@ def cmd_characterize(args) -> tuple[dict[str, str], Iterable[str]]:
 
 
 def cmd_roofline(args) -> tuple[dict[str, Iterable[str]], Iterable[str]]:
+    # imported here: loading array's extension module adds ~0.2 MB of RSS,
+    # which the other commands never need
+    from array import array
+
     transaction_bytes = args.transaction_bytes
     # checked here, before any file is read, so that this error wins over
     # input errors; roof.intensity and model.kernel_summary keep their own
@@ -198,24 +207,37 @@ def cmd_roofline(args) -> tuple[dict[str, Iterable[str]], Iterable[str]]:
     machine_path = Path(args.machine) if args.machine else sample_path("machine.json")
     machine = roof.parse_machine(_read_text(machine_path))
     multi = len(args.kernels) > 1
-    # the one row list, read by the CSV, the SVG and the report, with its
-    # classifications in a parallel list once every file is parsed
-    rows: list[tuple[str, float, float]] = []
+    # the points as columns, read by the CSV, the SVG and the report, with
+    # their classifications in a fourth column once every file is parsed
+    names: list[str] = []
+    intensities = array("d")
+    throughputs = array("d")
+    add_name, add_intensity, add_throughput = names.append, intensities.append, throughputs.append
     for path_str in args.kernels:
         path = Path(path_str)
         records = model.parse_kernels(_read_text(path), _detect_format(path))
         if not records:
             raise ParseError(f"{path}: no kernel records")
         if args.aggregate:
-            rows.append(roof.workload_point(records, transaction_bytes, name=path.stem))
+            point = roof.workload_point(records, transaction_bytes, name=path.stem)
+            add_name(point.name)
+            add_intensity(point.intensity)
+            add_throughput(point.throughput)
         else:
             prefix = f"{path.stem}/" if multi else ""
             for r in records:
-                rows.append((
-                    prefix + r.class_name,
-                    roof.intensity(r.flops, r.transactions, transaction_bytes),
-                    roof.throughput(r.flops, r.time_ms / 1e3) if r.time_ms > 0 else 0.0,
-                ))
+                add_intensity(roof.intensity(r.flops, r.transactions, transaction_bytes))
+                seconds = r.time_ms / 1e3
+                if seconds > 0:
+                    add_throughput(roof.throughput(r.flops, seconds))
+                elif r.time_ms > 0:
+                    # a positive time_ms that is 0 s here would make
+                    # roof.throughput's time_s error, which names no input
+                    raise AnalysisError(f"{path}: {r.class_name}: time_ms {r.time_ms!r} "
+                                        "underflows to 0 s")
+                else:
+                    add_throughput(0.0)
+                add_name(prefix + r.class_name)
 
     # fixed for the run, and looked up only after every file is parsed: every
     # point is classified and capped at single precision
@@ -223,7 +245,7 @@ def cmd_roofline(args) -> tuple[dict[str, Iterable[str]], Iterable[str]]:
     peak = machine.peak("single")
     bandwidth = machine.mem_bandwidth_gbps
     labels = []
-    for name, intensity, throughput in rows:
+    for name, intensity, throughput in zip(names, intensities, throughputs):
         labels.append(roof.classify_at(ridge, intensity))
         if math.isfinite(intensity):
             ceiling = roof.ceiling_at(peak, bandwidth, intensity)
@@ -234,20 +256,20 @@ def cmd_roofline(args) -> tuple[dict[str, Iterable[str]], Iterable[str]]:
     # the SVG's layout, and its range check, run here; both files and the
     # report are lazy, so neither file nor the report is ever held whole
     files = {
-        "roofline.csv": _roofline_csv(rows, labels),
-        "roofline.svg": svg.roofline_svg_pieces(machine, rows),
+        "roofline.csv": _roofline_csv(names, intensities, throughputs, labels),
+        "roofline.svg": svg.roofline_svg_pieces(machine, names, intensities, throughputs),
     }
     return files, itertools.chain(
         [f"machine {machine.name}: single-precision ridge at {ridge:.6g} FLOPs/byte"],
         (f"  {n}: intensity {i:.6g} FLOPs/B, throughput {t:.6g} GFLOP/s -> {c}"
-         for (n, i, t), c in zip(rows, labels)),
+         for n, i, t, c in zip(names, intensities, throughputs, labels)),
     )
 
 
-def _roofline_csv(rows: list[tuple], labels: list[str]) -> Iterator[str]:
-    """roofline.csv for ``(name, intensity, throughput)`` rows and their
-    classifications: the text ``csv.writer`` writes, as the header and then
-    one f-string per row.
+def _roofline_csv(names: Sequence[str], intensities: Sequence[float],
+                  throughputs: Sequence[float], labels: Sequence[str]) -> Iterator[str]:
+    """roofline.csv for the point columns and their classifications: the
+    text ``csv.writer`` writes, as the header and then one f-string per row.
 
     Only a name can need quoting: a float's ``repr`` and the three labels
     hold no ``,``, ``"``, CR or LF.  So the form is chosen from the names
@@ -256,14 +278,15 @@ def _roofline_csv(rows: list[tuple], labels: list[str]) -> Iterator[str]:
     name every cell is quoted, the header too; else a name holding ``,``,
     ``"`` or LF is, by csv's minimal rule.  A quoted name's ``"`` is doubled.
     """
-    if any("\r" in row[0] for row in rows):
+    rows = zip(names, intensities, throughputs, labels)
+    if any("\r" in name for name in names):
         yield '"name","intensity","throughput","classification"\n'
-        for (name, intensity, throughput), label in zip(rows, labels):
+        for name, intensity, throughput, label in rows:
             name = name.replace('"', '""')
             yield f'"{name}","{intensity!r}","{throughput!r}","{label}"\n'
     else:
         yield "name,intensity,throughput,classification\n"
-        for (name, intensity, throughput), label in zip(rows, labels):
+        for name, intensity, throughput, label in rows:
             if '"' in name:
                 name = '"' + name.replace('"', '""') + '"'
             elif "," in name or "\n" in name:

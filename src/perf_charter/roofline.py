@@ -75,7 +75,9 @@ def parse_machine(text: str) -> MachineModel:
 
 
 class RooflinePoint(NamedTuple):
-    """One point of the plot; a tuple, so a run builds thousands cheaply."""
+    """One point of the plot, as ``workload_point`` returns it.  The CLI
+    builds one per input file, and only with ``--aggregate``; its per-class
+    points are kept as columns, not as one object each."""
 
     name: str
     intensity: float       # FLOPs/byte

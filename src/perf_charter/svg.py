@@ -4,11 +4,13 @@ Plain string building on purpose: output is deterministic, diffable, and
 testable by substring inspection.  No timestamps or external resources are
 embedded, so identical inputs yield byte-identical files.  The roofline
 plot, which grows with its points, can also be had as an iterator of text
-pieces (``roofline_svg_pieces``).
+pieces (``roofline_svg_pieces``), drawn from the points as three parallel
+columns (names, intensities, throughputs) rather than one tuple per point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
@@ -140,31 +142,65 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
 
 
 def roofline_svg(machine: MachineModel, points: Sequence[tuple]) -> str:
-    """The roofline plot of ``points`` as one string: the pieces of
-    ``roofline_svg_pieces`` joined."""
-    return "".join(roofline_svg_pieces(machine, points))
+    """The roofline plot of ``points`` as one string: rows whose first three
+    fields are name, intensity and throughput (a ``RooflinePoint`` or a
+    longer row), split into columns and drawn by ``roofline_svg_pieces``."""
+    names, intensities, throughputs = ([p[i] for p in points] for i in range(3))
+    return "".join(roofline_svg_pieces(machine, names, intensities, throughputs))
 
 
-def roofline_svg_pieces(machine: MachineModel, points: Sequence[tuple]) -> Iterator[str]:
-    """The roofline plot of ``points``: rows whose first three fields are
-    name, intensity and throughput (a ``RooflinePoint`` or a longer row).
-    Only points with a finite positive intensity and throughput are drawn.
+def _roofline_range(
+    machine: MachineModel, intensities: Sequence[float], throughputs: Sequence[float]
+) -> tuple[float, float, float, float]:
+    """The plot's ``x_lo, x_hi, y_lo, y_hi``, from one scan of the columns.
 
-    The layout is done at once, so a plot range that overflows a float
-    raises here.  The document comes back as an iterator of text pieces
-    (the head, one piece per point, the closing tag) whose concatenation
-    is the whole SVG, so a caller that writes them as they come never
-    holds it all at once.
+    Only points with ``0 < intensity < inf`` and ``throughput > 0`` are
+    drawn and count.  The x range runs from half the least of 0.05 and the
+    drawn intensities to the greatest of 8 ridges and twice each drawn
+    intensity; the y range from half the least of the slope at ``x_lo``
+    and the drawn throughputs to twice the greatest peak or throughput.
+    Doubling is exact and monotone, so doubling the greatest value equals
+    taking the greatest doubled value.  A bound that is not finite and
+    positive raises ``ValueError``.
     """
-    width, height = 640, 440
-    finite = [p for p in points if 0 < p[1] < math.inf and p[2] > 0]
-    ridges = [machine.ridge(p) for p in machine.peaks]
-    x_lo = min([0.05] + [p[1] for p in finite]) / 2
-    x_hi = max([max(ridges) * 8] + [p[1] * 2 for p in finite])
-    y_hi = max(list(machine.peaks.values()) + [p[2] for p in finite]) * 2
-    y_lo = min([machine.mem_bandwidth_gbps * x_lo] + [p[2] for p in finite]) / 2
+    x_min, x_max, y_min, y_max = 0.05, 0.0, math.inf, 0.0
+    for x, y in zip(intensities, throughputs):
+        if 0 < x < math.inf and y > 0:
+            if x < x_min:
+                x_min = x
+            if x > x_max:
+                x_max = x
+            if y < y_min:
+                y_min = y
+            if y > y_max:
+                y_max = y
+    x_lo = x_min / 2
+    x_hi = max(max(machine.ridge(p) for p in machine.peaks) * 8, x_max * 2)
+    y_hi = max(max(machine.peaks.values()), y_max) * 2
+    y_lo = min(machine.mem_bandwidth_gbps * x_lo, y_min) / 2
     if not all(0 < v < math.inf for v in (x_lo, x_hi, y_lo, y_hi)):
         raise ValueError("the roofline plot range overflows a float")
+    return x_lo, x_hi, y_lo, y_hi
+
+
+def roofline_svg_pieces(
+    machine: MachineModel,
+    names: Sequence[str],
+    intensities: Sequence[float],
+    throughputs: Sequence[float],
+) -> Iterator[str]:
+    """The roofline plot of the points held in three parallel columns:
+    names, intensities (FLOPs/byte) and throughputs (GFLOP/s).  Only points
+    with a finite positive intensity and a positive throughput are drawn.
+
+    The layout is done at once, so a plot range that overflows a float
+    raises here (``_roofline_range``).  The document comes back as an
+    iterator of text pieces (the head, one piece per drawn point, the
+    closing tag) whose concatenation is the whole SVG, so a caller that
+    writes them as they come never holds it all at once.
+    """
+    width, height = 640, 440
+    x_lo, x_hi, y_lo, y_hi = _roofline_range(machine, intensities, throughputs)
     margin_l, margin_r, margin_t, margin_b = 60, 20, 20, 48
     plot_w, plot_h = width - margin_l - margin_r, height - margin_t - margin_b
     # the plot's log bounds, taken once; each coordinate divides by its span
@@ -214,16 +250,20 @@ def roofline_svg_pieces(machine: MachineModel, points: Sequence[tuple]) -> Itera
 
     def pieces() -> Iterator[str]:
         yield head
-        # one piece per point, its circle and its label, each coordinate
-        # computed as x_of and y_of do; rows are read by index, as unpacking
-        # a longer row into ``*_`` builds a list per point
-        for i, row in enumerate(finite):
-            x = margin_l + plot_w * (log10(row[1]) - log_x_lo) / x_span
-            y = margin_t + plot_h * (1 - (log10(row[2]) - log_y_lo) / y_span)
+        # one piece per drawn point, its circle and its label, each
+        # coordinate computed as x_of and y_of do; the palette steps over
+        # drawn points only
+        colors = itertools.cycle(PALETTE)
+        inf = math.inf
+        for name, intensity, throughput in zip(names, intensities, throughputs):
+            if not (0 < intensity < inf and throughput > 0):
+                continue
+            x = margin_l + plot_w * (log10(intensity) - log_x_lo) / x_span
+            y = margin_t + plot_h * (1 - (log10(throughput) - log_y_lo) / y_span)
             yield (
-                f'<circle cx="{f(x)}" cy="{f(y)}" r="4" fill="{PALETTE[i % len(PALETTE)]}" '
+                f'<circle cx="{f(x)}" cy="{f(y)}" r="4" fill="{next(colors)}" '
                 f'stroke="#222"/>\n<text x="{f(x + 6)}" y="{f(y - 5)}" fill="#111" '
-                f'text-anchor="start">{escape(row[0])}</text>\n'
+                f'text-anchor="start">{escape(name)}</text>\n'
             )
         yield "</svg>\n"
 

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -240,8 +241,10 @@ def test_roofline_memory_stays_near_its_outputs(tmp_path, capsys):
     # The traced peak was 4.4x the two output files while rendering kept a
     # second row list and copied the whole SVG document, and 3.4x with one
     # row list of 4-tuples and each file rendered as one string.  Streaming
-    # both files, with the classifications in a list of their own, brings it
-    # to 2.4x.
+    # both files, with the classifications in a list of their own, brought it
+    # to 2.4x.  The points kept as columns (no tuple or boxed float per
+    # point), the plot range taken in one scan and 256-piece write batches
+    # bring it to 1.35x.
     rng = random.Random(1)
     paths = []
     for f in range(10):
@@ -267,7 +270,7 @@ def test_roofline_memory_stays_near_its_outputs(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     outputs = sum(f.stat().st_size for f in out.iterdir())
-    assert peak < 2.8 * outputs, (peak, outputs)
+    assert peak < 1.8 * outputs, (peak, outputs)
 
 
 def test_write_outputs_removes_staged_files_when_a_piece_fails(tmp_path):
@@ -612,8 +615,10 @@ ROOFLINE_ROWS = st.tuples(
 @example([("a,b", 0.0, 1e-300, roof.MEMORY_BOUND), ('"a"', math.inf, 2.5, roof.AT_RIDGE)])
 @example([("a\nb", 1e-300, 0.0, roof.COMPUTE_BOUND), ("\r", 1.5, math.inf, roof.AT_RIDGE)])
 def test_roofline_csv_equals_reference_writer(rows):
-    # both quoting forms: minimal, and every cell when any name holds a CR
-    pieces = cli._roofline_csv([row[:3] for row in rows], [row[3] for row in rows])
+    # both quoting forms: minimal, and every cell when any name holds a CR;
+    # the rates as the CLI holds them, in array("d") columns
+    names, intensities, throughputs, labels = ([row[i] for row in rows] for i in range(4))
+    pieces = cli._roofline_csv(names, array("d", intensities), array("d", throughputs), labels)
     assert "".join(pieces) == write_rows(ROOFLINE_HEADER, rows, "csv")
 
 
@@ -641,6 +646,29 @@ def test_roofline_overflow_exits_3_and_writes_nothing(tmp_path, case):
     assert result.returncode == 3, result.stderr
     assert "overflow" in result.stderr
     assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+# 5e-324 ms is a valid positive time, but 5e-324 / 1e3 is 0.0 s
+UNDERFLOWS = {
+    "per-class": ("ok" + _kernel_row(100) + _kernel_row(100, time_ms=5e-324), [],
+                  "{path}: k: time_ms 5e-324 underflows to 0 s"),
+    # the aggregate point is named by the file's stem
+    "aggregate": (_kernel_row(100, time_ms=5e-324), ["--aggregate"],
+                  "k: zero total kernel time"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDERFLOWS))
+def test_roofline_time_that_underflows_to_zero_seconds_exits_3(tmp_path, case):
+    rows, flags, reason = UNDERFLOWS[case]
+    kernels = tmp_path / "k.csv"
+    kernels.write_text("class,time_ms,calls,unique,flops,transactions\n" + rows)
+    out = tmp_path / "out"
+    result = run_cli("roofline", "--kernels", str(kernels), *flags, "--out", str(out))
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == f"error: {reason.format(path=kernels)}\n"
+    assert result.stdout == ""
     assert not out.exists()
 
 

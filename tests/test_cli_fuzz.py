@@ -26,7 +26,7 @@ from perf_charter import cli
 # plausible numbers keep most tables valid, so the analyses run too; the edge
 # cases sit at the limits of what ingestion and analysis accept
 PLAUSIBLE = st.one_of(st.floats(0, 1e4), st.integers(0, 10**12))
-EDGES = st.sampled_from([0, -1, 1e-300, 1e308, 10**308, 10**400, math.nan, math.inf])
+EDGES = st.sampled_from([0, -1, 5e-324, 1e-300, 1e308, 10**308, 10**400, math.nan, math.inf])
 CELLS = st.one_of(
     PLAUSIBLE.map(str), EDGES.map(str),
     st.sampled_from(["", " ", "-0", "3.0", "abc", "true", ",", '"', "\n", "\r"]),

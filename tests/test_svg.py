@@ -1,5 +1,7 @@
 import html
+import math
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -60,6 +62,53 @@ def test_roofline_svg_reads_points_and_rows_alike(default_machine):
     out = svg.roofline_svg(default_machine, points)
     assert svg.roofline_svg(default_machine, rows) == out
     assert "a&lt;b&gt;&amp;c" in out
+    # the columns, as the CLI holds them, draw the same plot
+    columns = ([p.name for p in points], array("d", [p.intensity for p in points]),
+               array("d", [p.throughput for p in points]))
+    assert "".join(svg.roofline_svg_pieces(default_machine, *columns)) == out
+
+
+def _listed_range(machine, intensities, throughputs):
+    # the plot range as the drawn-points list form computes it
+    drawn = [(x, y) for x, y in zip(intensities, throughputs) if 0 < x < math.inf and y > 0]
+    ridges = [machine.ridge(p) for p in machine.peaks]
+    x_lo = min([0.05] + [x for x, _ in drawn]) / 2
+    x_hi = max([max(ridges) * 8] + [x * 2 for x, _ in drawn])
+    y_hi = max(list(machine.peaks.values()) + [y for _, y in drawn]) * 2
+    y_lo = min([machine.mem_bandwidth_gbps * x_lo] + [y for _, y in drawn]) / 2
+    if not all(0 < v < math.inf for v in (x_lo, x_hi, y_lo, y_hi)):
+        raise ValueError("the roofline plot range overflows a float")
+    return x_lo, x_hi, y_lo, y_hi
+
+
+_RANGE_EDGES = [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan, 5e-324, 1e-300, 1e308]
+_RANGE_RATES = st.one_of(st.sampled_from(_RANGE_EDGES), st.floats(allow_nan=True))
+_MACHINE_RATES = st.one_of(st.sampled_from([5e-324, 1e-300, 1.0, 1e308]),
+                           st.floats(5e-324, 1e308))
+
+
+@given(
+    st.lists(st.tuples(_RANGE_RATES, _RANGE_RATES), max_size=8),
+    _MACHINE_RATES, _MACHINE_RATES, _MACHINE_RATES,
+)
+@example([(1e308, 1.0)], 1.0, 1.0, 1.0)          # x_hi overflows
+@example([(1.0, 1e308)], 1.0, 1.0, 1.0)          # y_hi overflows
+@example([(5e-324, 5e-324)], 1.0, 1.0, 1.0)      # x_lo and y_lo underflow
+@example([(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, 0.0),
+          (1.0, -1.0), (1.0, math.nan), (2.0, 3.0)], 14000.0, 28000.0, 900.0)  # one drawn
+@example([(1.0, math.inf)], 1.0, 1.0, 1.0)       # drawn, and y_hi is inf
+@example([], 5e-324, 5e-324, 1e308)              # the ridges underflow
+def test_roofline_range_equals_list_form(points, single, half, bandwidth):
+    machine = pc.MachineModel("m", {"single": single, "half": max(single, half)}, bandwidth)
+    intensities = array("d", [x for x, _ in points])
+    throughputs = array("d", [y for _, y in points])
+    try:
+        expected = _listed_range(machine, intensities, throughputs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            svg._roofline_range(machine, intensities, throughputs)
+    else:
+        assert svg._roofline_range(machine, intensities, throughputs) == expected
 
 
 def test_every_emitter_ends_in_one_newline(sample_matrix, sample_jobs, default_machine):
