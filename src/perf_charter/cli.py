@@ -12,8 +12,8 @@ line.  ``roofline`` keeps its points as columns, with no object per point:
 a list of names, ``array("d")`` intensities and throughputs, and a list of
 classifications.  Its CSV (``_roofline_csv``, one f-string per row), its
 SVG and its lazy report all read those columns.  Both of its files are
-streamed: each is an iterator of text pieces that ``main`` writes into the
-staged file a batch at a time, so no whole document is ever held in
+streamed: each is an iterator of text pieces that ``main`` hands to the
+staged file's ``writelines``, so no whole document is ever held in
 memory.  Inputs are UTF-8, with or without a byte-order mark.  Exit
 codes, each error class's ``exit_code``: 2 ingestion errors (unreadable,
 non-UTF-8 or invalid input) and output errors (an --out that cannot be
@@ -53,19 +53,11 @@ def _read_text(path: str | Path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-# pieces of a streamed file joined per write: one write per piece costs
-# more calls, one join of them all holds the whole document.  A batch is
-# held three times while it is written (its list, its join, its encoding);
-# 256 roofline points make ~40 KB, and 2048 took ~1 MB more peak RSS on
-# roofline-json at the same wall time (smaller batches measured no lower)
-_PIECES_PER_WRITE = 256
-
-
 def _write_outputs(out: str, files: dict[str, str | Iterable[str]]) -> None:
     """Write every rendered file under ``out``, or none of them.
 
-    A file is its text, written in one ``write``, or an iterator of text
-    pieces that is written ``_PIECES_PER_WRITE`` (256) pieces at a time.
+    A file is its text or an iterator of text pieces, handed to the file's
+    ``writelines``, whose own buffer gathers them into chunks.
     Each file is staged as ``<name>.tmp`` and renamed into place only after
     all are staged and no target is a directory; on any error, also one
     raised by a piece iterator, every staged file is removed, and then each
@@ -83,9 +75,7 @@ def _write_outputs(out: str, files: dict[str, str | Iterable[str]]) -> None:
             tmp = out_dir / (name + ".tmp")
             with open(tmp, "w", encoding="utf-8") as fh:
                 staged.append(tmp)
-                pieces = iter((content,) if isinstance(content, str) else content)
-                while batch := list(itertools.islice(pieces, _PIECES_PER_WRITE)):
-                    fh.write("".join(batch))
+                fh.writelines((content,) if isinstance(content, str) else content)
         for name in files:
             target = out_dir / name
             if target.is_dir():
@@ -218,6 +208,10 @@ def cmd_roofline(args) -> tuple[dict[str, Iterable[str]], Iterable[str]]:
         records = model.parse_kernels(_read_text(path), _detect_format(path))
         if not records:
             raise ParseError(f"{path}: no kernel records")
+        if (multi or args.aggregate) and not model._utf8(path.stem):
+            # the stem labels points, and neither file can hold the lone
+            # surrogate that stands for a file name's undecodable byte
+            raise ParseError(f"{path}: file name cannot be encoded as UTF-8")
         if args.aggregate:
             point = roof.workload_point(records, transaction_bytes, name=path.stem)
             add_name(point.name)
@@ -418,9 +412,7 @@ def main(argv=None) -> int:
                 raise OutputError("cannot write to stdout: file descriptor 1 is closed")
             try:
                 # one write per line, where print makes two
-                write = sys.stdout.write
-                for line in report:
-                    write(_escape(line) + "\n")
+                sys.stdout.writelines(_escape(line) + "\n" for line in report)
                 sys.stdout.flush()
             except OSError as exc:
                 # with stdout on devnull, the flush at exit cannot fail again

@@ -275,12 +275,23 @@ def _count(value, line: int, column: str) -> int:
     return value
 
 
+def _utf8(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: a lone surrogate (a JSON ``\\ud800``
+    escape, or a file name's undecodable byte) cannot be written to a file."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _name(value, line: int, what: str) -> str:
-    """A non-empty string after stripping."""
-    if type(value) is str:
-        value = value.strip()
-        if value:
+    """A non-empty string after stripping, which UTF-8 can encode; an ASCII
+    name, the common case, skips the encoding."""
+    if type(value) is str and (value := value.strip()):
+        if value.isascii() or _utf8(value):
             return value
+        raise MalformedRow(line, f"{what} name {value!r} cannot be encoded as UTF-8")
     raise MalformedRow(line, f"{what} name must be a non-empty string, got {value!r}")
 
 
@@ -307,6 +318,9 @@ def parse_workload_profiles(text: str, format: str = "csv") -> list[WorkloadProf
             for key, value in row.items()
             if value is not None and key != "name" and key != "suite"
         }
+        for key in metrics:
+            if not _utf8(key):
+                raise MalformedRow(line, f"metric name {key!r} cannot be encoded as UTF-8")
         try:
             profiles.append(WorkloadProfile(name, Suite.from_label(suite or ""), metrics))
         except ValueError as exc:

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import AnalysisError, MalformedRow, ParseError
 from .model import (DEFAULT_TRANSACTION_BYTES, KernelRecord, _checked_make, _load_json, _name,
-                    _number, kernel_summary)
+                    _number, _utf8, kernel_summary)
 
 MEMORY_BOUND = "memory_bound"
 COMPUTE_BOUND = "compute_bound"
@@ -59,6 +59,9 @@ def machine_from_dict(data: dict) -> MachineModel:
     """Validate a decoded machine config; every defect is a ParseError."""
     if type(data) is not dict or type(data.get("peaks")) is not dict:
         raise MalformedRow(1, "machine config must be an object with a 'peaks' object")
+    for precision in data["peaks"]:
+        if not _utf8(precision):
+            raise MalformedRow(1, f"peak name {precision!r} cannot be encoded as UTF-8")
     try:
         return MachineModel(
             name=_name(data.get("name"), 1, "machine"),

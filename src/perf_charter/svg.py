@@ -3,9 +3,9 @@
 Plain string building on purpose: output is deterministic, diffable, and
 testable by substring inspection.  No timestamps or external resources are
 embedded, so identical inputs yield byte-identical files.  The roofline
-plot, which grows with its points, can also be had as an iterator of text
-pieces (``roofline_svg_pieces``), drawn from the points as three parallel
-columns (names, intensities, throughputs) rather than one tuple per point.
+plot, which grows with its points, comes only as an iterator of text pieces
+(``roofline_svg_pieces``), drawn from the points as three parallel columns
+(names, intensities, throughputs) rather than one tuple per point.
 """
 
 from __future__ import annotations
@@ -141,14 +141,6 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return [10.0 ** k for k in range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)]
 
 
-def roofline_svg(machine: MachineModel, points: Sequence[tuple]) -> str:
-    """The roofline plot of ``points`` as one string: rows whose first three
-    fields are name, intensity and throughput (a ``RooflinePoint`` or a
-    longer row), split into columns and drawn by ``roofline_svg_pieces``."""
-    names, intensities, throughputs = ([p[i] for p in points] for i in range(3))
-    return "".join(roofline_svg_pieces(machine, names, intensities, throughputs))
-
-
 def _roofline_range(
     machine: MachineModel, intensities: Sequence[float], throughputs: Sequence[float]
 ) -> tuple[float, float, float, float]:
@@ -246,20 +238,17 @@ def roofline_svg_pieces(
         parts.append(_text(x_of(x_hi) - 4, y_of(peak) - 4, f"{precision} {peak:.6g}", color=color, anchor="end"))
     parts.append("")
     head = "\n".join(parts)
-    f, log10 = _f, math.log10
 
     def pieces() -> Iterator[str]:
         yield head
-        # one piece per drawn point, its circle and its label, each
-        # coordinate computed as x_of and y_of do; the palette steps over
-        # drawn points only
+        # one piece per drawn point, its circle and its label; the palette
+        # steps over drawn points only
         colors = itertools.cycle(PALETTE)
-        inf = math.inf
+        f, inf = _f, math.inf
         for name, intensity, throughput in zip(names, intensities, throughputs):
             if not (0 < intensity < inf and throughput > 0):
                 continue
-            x = margin_l + plot_w * (log10(intensity) - log_x_lo) / x_span
-            y = margin_t + plot_h * (1 - (log10(throughput) - log_y_lo) / y_span)
+            x, y = x_of(intensity), y_of(throughput)
             yield (
                 f'<circle cx="{f(x)}" cy="{f(y)}" r="4" fill="{next(colors)}" '
                 f'stroke="#222"/>\n<text x="{f(x + 6)}" y="{f(y - 5)}" fill="#111" '

@@ -243,8 +243,9 @@ def test_roofline_memory_stays_near_its_outputs(tmp_path, capsys):
     # row list of 4-tuples and each file rendered as one string.  Streaming
     # both files, with the classifications in a list of their own, brought it
     # to 2.4x.  The points kept as columns (no tuple or boxed float per
-    # point), the plot range taken in one scan and 256-piece write batches
-    # bring it to 1.35x.
+    # point) and the plot range taken in one scan bring it to about 1.4x,
+    # with each piece handed to the file's ``writelines``, whose own buffer
+    # gathers them into chunks.
     rng = random.Random(1)
     paths = []
     for f in range(10):
@@ -286,6 +287,21 @@ def test_write_outputs_removes_staged_files_when_a_piece_fails(tmp_path):
     with pytest.raises(ValueError, match="bad piece"):
         cli._write_outputs(str(out), files)
     assert not out.exists()
+
+
+def test_write_outputs_writes_pieces_byte_exactly(tmp_path):
+    # multi-byte UTF-8 names, an empty piece, and pieces of 3 to 9 000
+    # characters, so that many straddle the file buffer's 8 KB chunks
+    rng = random.Random(3)
+    names = ["relu", "Größe", "核函数", "emoji\U0001f600", "", "a" * 8191, "é" * 4097]
+    pieces = [rng.choice(names) * rng.randrange(1, 3) + ",\n" for _ in range(400)]
+    pieces[200:200] = ["", "x" * 9000, ""]
+    text = "plain ünïcode text\n" * 700
+    out = tmp_path / "out"
+    cli._write_outputs(str(out), {"points.csv": iter(pieces), "plain.txt": text})
+    assert (out / "points.csv").read_bytes() == "".join(pieces).encode("utf-8")
+    assert (out / "plain.txt").read_bytes() == text.encode("utf-8")
+    assert sorted(p.name for p in out.iterdir()) == ["plain.txt", "points.csv"]
 
 
 def test_write_outputs_removes_only_the_directories_it_made(tmp_path):
@@ -933,3 +949,100 @@ def test_error_contract(tmp_path, monkeypatch, capsys, files, argv, code, stderr
     assert cli.main([*argv, "--out", "out"]) == code
     assert capsys.readouterr().err == stderr
     assert not (tmp_path / "out").exists()
+
+
+def _kernels_json(name):
+    return json.dumps([{"class": name, "time_ms": 1.0, "calls": 1, "unique": 1,
+                        "flops": 100, "transactions": 10}])
+
+
+def _machine_json(name, precision):
+    return json.dumps({"name": name, "peaks": {"single": 14000, precision: 28000},
+                       "mem_bandwidth_gbps": 900})
+
+
+def _profiles_json(name, metric):
+    return json.dumps([{"name": n, "suite": "MLPerf", metric: x, "y": y}
+                       for n, x, y in ((name, 1, 2), ("b", 3, 1), ("c", 2, 5))])
+
+
+# A name that UTF-8 cannot encode: a lone surrogate from a JSON "\ud800"
+# escape, or the stem of a file name with an undecodable byte (argv gives it
+# as "\udcff") once the stem labels points.  Each is an ingestion error that
+# names its input, before any file is written.
+_UNENCODABLE = "a\ud800b"
+_UNDECODABLE_FILE = "x\udcff.json"
+
+
+@pytest.mark.parametrize(
+    "files, argv, stderr",
+    [
+        pytest.param(
+            {"k.json": _kernels_json(_UNENCODABLE)},
+            ["roofline", "--kernels", "k.json"],
+            "error: line 1: kernel class name 'a\\ud800b' cannot be encoded as UTF-8\n",
+            id="kernel-class",
+        ),
+        pytest.param(
+            {"jobs.json": json.dumps([{"name": _UNENCODABLE, "t1_minutes": 10, "s2": 1.5},
+                                      {"name": "b", "t1_minutes": 5, "s2": 1.5}])},
+            ["schedule", "--jobs", "jobs.json", "--gpus", "2"],
+            "error: line 1: job name 'a\\ud800b' cannot be encoded as UTF-8\n",
+            id="job",
+        ),
+        pytest.param(
+            {"p.json": _profiles_json(_UNENCODABLE, "x")},
+            ["characterize", "--profiles", "p.json", "--k", "2"],
+            "error: line 1: workload name 'a\\ud800b' cannot be encoded as UTF-8\n",
+            id="workload",
+        ),
+        pytest.param(
+            {"p.json": _profiles_json("a", _UNENCODABLE)},
+            ["characterize", "--profiles", "p.json", "--k", "2"],
+            "error: line 1: metric name 'a\\ud800b' cannot be encoded as UTF-8\n",
+            id="metric",
+        ),
+        pytest.param(
+            {"k.json": _kernels_json("k"), "m.json": _machine_json(_UNENCODABLE, "half")},
+            ["roofline", "--kernels", "k.json", "--machine", "m.json"],
+            "error: line 1: machine name 'a\\ud800b' cannot be encoded as UTF-8\n",
+            id="machine",
+        ),
+        pytest.param(
+            {"k.json": _kernels_json("k"), "m.json": _machine_json("m", _UNENCODABLE)},
+            ["roofline", "--kernels", "k.json", "--machine", "m.json"],
+            "error: line 1: peak name 'a\\ud800b' cannot be encoded as UTF-8\n",
+            id="peak",
+        ),
+        pytest.param(
+            {"k.json": _kernels_json("k"), _UNDECODABLE_FILE: _kernels_json("k")},
+            ["roofline", "--kernels", "k.json", _UNDECODABLE_FILE],
+            "error: x\\udcff.json: file name cannot be encoded as UTF-8\n",
+            id="file-stem-prefix",
+        ),
+        pytest.param(
+            {_UNDECODABLE_FILE: _kernels_json("k")},
+            ["roofline", "--kernels", _UNDECODABLE_FILE, "--aggregate"],
+            "error: x\\udcff.json: file name cannot be encoded as UTF-8\n",
+            id="file-stem-aggregate",
+        ),
+    ],
+)
+def test_name_that_utf8_cannot_encode_exits_2(tmp_path, monkeypatch, capsys, files, argv,
+                                              stderr):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main([*argv, "--out", "out"]) == 2
+    assert capsys.readouterr() == ("", stderr)
+    assert not (tmp_path / "out").exists()
+
+
+def test_undecodable_file_name_that_labels_nothing_is_read(tmp_path):
+    # one file without --aggregate: its stem labels no point
+    kernels = tmp_path / _UNDECODABLE_FILE
+    kernels.write_text(_kernels_json("k"))
+    out = tmp_path / "out"
+    result = run_cli("roofline", "--kernels", str(kernels), "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["roofline.csv", "roofline.svg"]

@@ -890,3 +890,103 @@ def test_dominance_and_validity_property(instance):
         check_schedule(schedule, cluster.gpu_count, jobs)
     again, _ = pc.permutation_search(jobs, cluster)
     assert again == perm
+
+
+# --- search-equivalence corpus --------------------------------------------------------------
+
+_CORPUS_GPUS = (1, 2, 3, 4, 8)
+
+
+def _corpus_random(rng, bundled):
+    """Up to 6 jobs with two-decimal times and speedups, at the default widths
+    or a custom menu of up to 4 widths; a quarter of the jobs after the first
+    are twins."""
+    gpus = rng.choice(_CORPUS_GPUS)
+    if rng.random() < 0.5:
+        widths, menu = (), tuple(w for w in (1, 2, 4, 8) if w <= gpus)
+    else:
+        extra = rng.sample(range(2, gpus + 1), rng.randint(0, min(gpus - 1, 3)))
+        widths = menu = (1, *sorted(extra))
+    jobs = []
+    for i in range(rng.randint(1, 6)):
+        if jobs and rng.random() < 0.25:
+            twin = rng.choice(jobs)
+            jobs.append(_job(f"j{i}", twin.t1_minutes, twin.speedup))
+        else:
+            speedup = {w: round(rng.uniform(0.5, 1.2 * w), 2) for w in menu[1:]
+                       if rng.random() < 0.7}
+            jobs.append(_job(f"j{i}", round(rng.uniform(0.5, 100.0), 2), speedup))
+    return jobs, pc.ClusterSpec(gpus, widths)
+
+
+def _corpus_ties(rng, bundled):
+    """Up to 6 jobs from 1-3 prototypes with whole minutes and speedups from a
+    short list, so widths and schedules tie."""
+    gpus = rng.choice(_CORPUS_GPUS)
+    widths = tuple(w for w in (1, 2, 3, 4, 8) if w <= gpus)
+    prototypes = []
+    for _ in range(rng.randint(1, 3)):
+        speedup = {w: rng.choice([x for x in (1.0, 1.5, 2.0, 3.0, 4.0) if x <= w])
+                   for w in widths[1:] if rng.random() < 0.6}
+        prototypes.append((float(rng.randint(1, 6)), speedup))
+    jobs = [_job(f"j{i}", *rng.choice(prototypes)) for i in range(rng.randint(1, 6))]
+    return jobs, pc.ClusterSpec(gpus, widths)
+
+
+def _corpus_edges(rng, bundled):
+    """Up to 6 jobs of 1e-15 minutes (an end that rounds to its start after a
+    long job), of 1e308 (ends that overflow) or of whole minutes."""
+    gpus = rng.choice(_CORPUS_GPUS)
+    jobs = []
+    for i in range(rng.randint(1, 6)):
+        t1 = rng.choice((1e-15, 1e308, 100.0, float(rng.randint(1, 9))))
+        speedup = {w: rng.choice((1.0, 2.0, 1.5 * w)) for w in (2, 4, 8)
+                   if w <= gpus and rng.random() < 0.5}
+        jobs.append(_job(f"j{i}", t1, speedup))
+    return jobs, pc.ClusterSpec(gpus)
+
+
+def _corpus_mix(rng, bundled):
+    """The six bundled jobs shuffled, as the benchmark's schedule inputs are:
+    one-GPU minutes jittered by up to 15% and rounded to 0.1, each speedup up
+    to the GPU count by up to 5% and rounded to 0.01."""
+    gpus = rng.choice(_CORPUS_GPUS)
+    rows = list(bundled)
+    rng.shuffle(rows)
+    jobs = []
+    for i, job in enumerate(rows):
+        speedup = {w: round(s * rng.uniform(0.95, 1.05), 2)
+                   for w, s in job.speedup.items() if 1 < w <= gpus}
+        jobs.append(_job(f"job{i}", round(job.t1_minutes * rng.uniform(0.85, 1.15), 1), speedup))
+    return jobs, pc.ClusterSpec(gpus)
+
+
+_CORPUS = ((_corpus_random, 300), (_corpus_ties, 300), (_corpus_edges, 150), (_corpus_mix, 20))
+
+# sha256 over each instance's repr(result), or its error class and message,
+# one line per instance, per method.  Every step is pure-Python float
+# arithmetic, so the digests do not depend on the host.  A change that means
+# to move placements re-pins them and says how many instances changed.
+_CORPUS_GOLDEN = {
+    "permutation": "9311948342d2d9ec90589a07a6b2011bf9e58719a01b42c45cac991006755ce3",
+    "exact": "1b7c63d37c594c7a360ee7fb12c66c417c9c0edcd640f0b9a893c563dc4f5c21",
+}
+
+
+@pytest.mark.parametrize("method", sorted(_CORPUS_GOLDEN))
+def test_search_corpus_matches_pinned_digests(method, sample_jobs):
+    import hashlib
+    import random
+
+    rng = random.Random(20261021)
+    corpus = [kind(rng, sample_jobs) for kind, count in _CORPUS for _ in range(count)]
+    assert len(corpus) == 770
+    search = {"permutation": pc.permutation_search, "exact": pc.exact_schedule}[method]
+    digest = hashlib.sha256()
+    for jobs, cluster in corpus:
+        try:
+            text = repr(search(jobs, cluster))
+        except Exception as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == _CORPUS_GOLDEN[method]

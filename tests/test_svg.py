@@ -42,7 +42,7 @@ def test_roofline_svg_ceilings_and_points(default_machine):
         pc.RooflinePoint("MM_4x1", 208.98, 6457.51),
         pc.RooflinePoint("zero", 0.0, 0.0),  # skipped in the plot
     ]
-    out = svg.roofline_svg(default_machine, points)
+    out = "".join(svg.roofline_svg_pieces(default_machine, *zip(*points)))
     assert "relu" in out and "MM_4x1" in out
     assert "zero" not in out
     for precision in ("double", "single", "half"):
@@ -58,10 +58,9 @@ def test_roofline_svg_reads_points_and_rows_alike(default_machine):
         pc.RooflinePoint("inf", float("inf"), 10.0),  # skipped in the plot
         pc.RooflinePoint("zero", 0.0, 0.0),
     ] + [pc.RooflinePoint(f"k{i}", 0.5 * (i + 1), 40.0 * (i + 1)) for i in range(12)]
-    rows = [(*p, "memory_bound") for p in points]
-    out = svg.roofline_svg(default_machine, points)
-    assert svg.roofline_svg(default_machine, rows) == out
+    out = "".join(svg.roofline_svg_pieces(default_machine, *zip(*points)))
     assert "a&lt;b&gt;&amp;c" in out
+    assert ">inf<" not in out and ">zero<" not in out
     # the columns, as the CLI holds them, draw the same plot
     columns = ([p.name for p in points], array("d", [p.intensity for p in points]),
                array("d", [p.throughput for p in points]))
@@ -118,7 +117,7 @@ def test_every_emitter_ends_in_one_newline(sample_matrix, sample_jobs, default_m
     names = sample_matrix.workload_names
     outputs = [
         svg.dendrogram_svg(cluster.agglomerate(cluster.pairwise_distances(z), names=names)),
-        svg.roofline_svg(default_machine, [pc.RooflinePoint("relu", 1.27, 436.29)]),
+        "".join(svg.roofline_svg_pieces(default_machine, ["relu"], [1.27], [436.29])),
         svg.gantt_svg(pc.exact_schedule(sample_jobs, pc.ClusterSpec(4)), 4),
         svg.scatter_svg(names, [float(v) for v in z[:, 0]], [float(v) for v in z[:, 1]],
                         "x", "y"),
