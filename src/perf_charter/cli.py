@@ -144,9 +144,7 @@ def cmd_characterize(args) -> tuple[dict[str, str], Iterable[str]]:
     files = {
         "pca.json": _dump_json(stats.pca_to_dict(pca)),
         "dendrogram.json": _dump_json(dendrogram._asdict()),
-        "dendrogram.svg": svg.dendrogram_svg(
-            dendrogram, threshold if math.isfinite(threshold) else None
-        ),
+        "dendrogram.svg": svg.dendrogram_svg(dendrogram, threshold),
         "subset_report.json": _dump_json(report._asdict()),
     }
     if pca.projections.shape[1] >= 2:

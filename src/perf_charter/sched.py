@@ -58,15 +58,6 @@ _JOB_LIMIT = 10
 _SEARCH_BUDGET = 4_000_000
 
 
-def _powers_of_two_upto(p: int) -> tuple[int, ...]:
-    widths = []
-    w = 1
-    while w <= p:
-        widths.append(w)
-        w *= 2
-    return tuple(widths)
-
-
 class ClusterSpec(NamedTuple(
     "ClusterSpec", [("gpu_count", int), ("allowed_widths", tuple[int, ...])]
 )):
@@ -82,7 +73,7 @@ class ClusterSpec(NamedTuple(
     def __new__(cls, gpu_count: int, allowed_widths: tuple[int, ...] = ()):
         if not (isinstance(gpu_count, int) and gpu_count >= 1):
             raise ValueError(f"gpu_count must be a positive int, got {gpu_count!r}")
-        widths = allowed_widths or _powers_of_two_upto(gpu_count)
+        widths = allowed_widths or [1 << k for k in range(gpu_count.bit_length())]
         widths = sorted(set(int(w) for w in widths) | {1})
         if widths[0] < 1:
             raise ValueError("widths must be >= 1")
@@ -284,6 +275,7 @@ def _least_list_makespan(
             # ascending order of their job-index tuples
             sets = start_sets[waiting, free] = _maximal_sets(waiting, free, wsum, minw)
         for sub in sets:
+            # m < best: rts[j] <= maxrt[waiting], and best falls only at a leaf
             m = makespan
             new = running.copy()
             for j in members[sub]:
@@ -291,8 +283,6 @@ def _least_list_makespan(
                 new.append((e, ws[j]))
                 if e > m:
                     m = e
-            if m >= best:
-                continue
             rest = waiting ^ sub
             if not rest:
                 # all waiting jobs fit, so this set is the event's only one
@@ -455,8 +445,10 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     that cannot end in time makes the second one infinite.  The search is
     seeded with the heuristic schedule; among equal optima it returns the
     first strict improvement in search order, or the seed if nothing beats
-    it.  More than ``_JOB_LIMIT`` jobs, or more than ``_SEARCH_BUDGET`` calls
-    of the search, raise ``SearchSpaceTooLarge``.
+    it.  The strictness comes from the child prunes (``e >= best_m`` and the
+    two area bounds), not the leaf: every leaf they let through ends below
+    the incumbent.  More than ``_JOB_LIMIT`` jobs, or more than
+    ``_SEARCH_BUDGET`` calls of the search, raise ``SearchSpaceTooLarge``.
     """
     n = len(jobs)
     if n > _JOB_LIMIT:
@@ -483,10 +475,10 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     seed = heuristic_schedule(jobs, cluster)
     idx_of = {job.name: j for j, job in enumerate(jobs)}
     # identical jobs are interchangeable: place them in index order, so a job
-    # waits for its nearest identical predecessor only
-    signature = [(job.t1_minutes, tuple(sorted(tab.items()))) for job, tab in zip(jobs, rt_tab)]
+    # waits for its nearest identical predecessor only.  Width 1 is in every
+    # menu at runtime t1_minutes, so equal runtime tables mean identical jobs
     prev_twin = [
-        max((j2 for j2 in range(j) if signature[j2] == signature[j]), default=-1)
+        max((j2 for j2 in range(j) if rt_tab[j2] == rt_tab[j]), default=-1)
         for j in range(n)
     ]
 
@@ -498,45 +490,21 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
     branch_order = sorted(range(n), key=lambda j: (-min_rt[j], j))
     calls = 0
 
-    def deadline_data(s: float, fit: dict) -> tuple[float, list[float]]:
-        """``(need, least)`` at start ``s`` for the jobs in ``remaining``.
-
-        ``least[k]`` is job k's least area among the widths w that end
-        before the current incumbent when started at ``max(s, fit[w][0])``,
-        the earliest start w can have below the node (infinite if none
-        does), and ``need`` is their sum.  Rounding is monotone, so
-        ``max(s, f) + rt`` is the larger of ``s + rt`` and ``f + rt``:
-        each is tested on its own, as the child's end is.
-        """
-        least = [0.0] * n
-        need = 0.0
-        for k in remaining:
-            least_k = math.inf
-            for rt, w, k_area in branches[k]:
-                if s + rt >= best_m:
-                    break
-                if k_area < least_k and fit[w][0] + rt < best_m:
-                    least_k = k_area
-            least[k] = least_k
-            need += least_k
-        return need, least
-
     def dfs(cur_m: float, last_s: float, last_j: int, rem_area: float, live: list):
         nonlocal best_m, best_pl, calls
         calls += 1
         if calls > _SEARCH_BUDGET:
             raise _over_budget("branch-and-bound nodes")
         if not remaining:
-            if cur_m < best_m:
-                best_m = cur_m
-                best_pl = placed.copy()
+            # a child is entered only with cur_m < best_m: a leaf always improves
+            best_m = cur_m
+            best_pl = placed.copy()
             return
         # per candidate start s: GPUs busy at s and work committed beyond s.
         # Every placed job starts at or before last_s <= s, so usage only
         # falls after s: a job fits if it fits at its start instant.  The
         # slot's deadline data is filled in when a child first reaches the
-        # deadline-aware bound there (``deadline_data``), then kept for the
-        # node's later children.
+        # deadline-aware bound there, then kept for the node's later children.
         slots = []
         for s in sorted({last_s, *(pe for _, pe in live)}):
             busy = 0
@@ -580,7 +548,25 @@ def exact_schedule(jobs: list[Job], cluster: ClusterSpec) -> Schedule:
                 # ends before best_m, which is at most the incumbent the
                 # slot's data was built with.
                 if deadline is None:
-                    deadline = slot[3] = deadline_data(s, fit)
+                    # least[k]: job k's least area among the widths that end
+                    # before the current incumbent when started at
+                    # max(s, that width's first fit), the earliest start it
+                    # can have below the node (infinite if none does); need
+                    # is their sum.  Rounding is monotone, so max(s, f) + rt
+                    # is the larger of s + rt and f + rt: each is tested on
+                    # its own, as the child's end is.
+                    least = [0.0] * n
+                    need = 0.0
+                    for k in remaining:
+                        least_k = math.inf
+                        for k_rt, k_w, k_area in branches[k]:
+                            if s + k_rt >= best_m:
+                                break
+                            if k_area < least_k and fit[k_w][0] + k_rt < best_m:
+                                least_k = k_area
+                        least[k] = least_k
+                        need += least_k
+                    deadline = slot[3] = need, least
                 need, least = deadline
                 if overhang + j_area + (need - least[j]) >= p_total * (
                     best_m * _BOUND_MARGIN - s

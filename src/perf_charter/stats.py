@@ -141,7 +141,7 @@ def jacobi_eigen(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = a.shape[0]
     if m == 0:
         return np.empty(0), np.empty((0, 0))
-    asym = np.max(np.abs(a - a.T)) if m > 1 else 0.0
+    asym = np.max(np.abs(a - a.T))
     if asym > 1e-10:
         raise AnalysisError(f"max |A - A^T| = {asym:.3e} exceeds 1e-10")
     a = (a + a.T) * 0.5

@@ -138,7 +138,9 @@ def dendrogram_svg(dendrogram: Dendrogram, cut_height: float | None = None) -> s
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
-    return [10.0 ** k for k in range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)]
+    # 10.0 ** 309 overflows; every tick above 1e308 lies beyond any finite hi
+    top = min(math.ceil(math.log10(hi)), 308)
+    return [10.0 ** k for k in range(math.floor(math.log10(lo)), top + 1)]
 
 
 def _roofline_range(

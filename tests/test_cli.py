@@ -700,6 +700,25 @@ def test_roofline_throughput_fits_although_flops_per_second_overflow(tmp_path):
     assert float(rows[1][2]) == 10**308 / 1e9 / 1e-3
 
 
+# a plot bound just past 1e308, one case per axis: no tick may be 10.0 ** 309
+NEAR_MAX_BOUNDS = {
+    "y": ("big,2e-6,1,1,1.2e308,1\n", []),
+    "x": ("wide,1000,1,1,1.2e308,1\n", ["--transaction-bytes", "2"]),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(NEAR_MAX_BOUNDS))
+def test_roofline_plot_bound_near_the_float_limit_writes_both_files(tmp_path, axis):
+    row, flags = NEAR_MAX_BOUNDS[axis]
+    kernels = tmp_path / "k.csv"
+    kernels.write_text("class,time_ms,calls,unique,flops,transactions\n" + row)
+    out = tmp_path / "out"
+    result = run_cli("roofline", "--kernels", str(kernels), *flags, "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["roofline.csv", "roofline.svg"]
+    assert "1e308<" in (out / "roofline.svg").read_text()
+
+
 def test_stderr_note_escapes_control_characters(tmp_path):
     # 1e12 FLOPs in 1e-6 ms is far past any configured ceiling
     kernels = tmp_path / "k.json"

@@ -436,23 +436,37 @@ def test_exact_empty_and_guard(p4):
         pc.exact_schedule([_job(f"j{i}", 1.0, {}) for i in range(11)], p4)
 
 
-@pytest.mark.parametrize("search, work, message", [
-    # 729 width vectors visited plus 2 926 start-set nodes
-    (lambda jobs, cluster: pc.permutation_search(jobs, cluster)[0], 729 + 2926,
-     "width vectors + start-set nodes"),
-    (pc.exact_schedule, 2664, "branch-and-bound nodes"),
+# per GPU count: the bundled jobs' makespan, the list search's width vectors
+# visited plus start-set nodes, and exact_schedule's branch-and-bound nodes
+_BUNDLED_WORK = [
+    (4, 1300.203094777563, 729 + 2926, 2664),
+    (1, 4658.599999999999, 1 + 518, 10),
+    (2, 2357.4375, 64 + 1406, 803),
+    (8, 735.3424336080585, 4096 + 13525, 3561),
+]
+
+
+@pytest.mark.parametrize("search, work, message, gpus, makespan", [
+    row
+    for gpus, makespan, list_work, exact_work in _BUNDLED_WORK
+    for row in (
+        (lambda jobs, cluster: pc.permutation_search(jobs, cluster)[0], list_work,
+         "width vectors + start-set nodes", gpus, makespan),
+        (pc.exact_schedule, exact_work, "branch-and-bound nodes", gpus, makespan),
+    )
 ])
 def test_searches_stop_once_their_work_passes_the_budget(
-    sample_jobs, p4, monkeypatch, search, work, message
+    sample_jobs, monkeypatch, search, work, message, gpus, makespan
 ):
-    # the bundled jobs at 4 GPUs finish on a budget of exactly their work,
-    # and one step less stops them mid-search
+    # the bundled jobs finish on a budget of exactly their work, and one step
+    # less stops them mid-search
+    cluster = pc.ClusterSpec(gpus)
     monkeypatch.setattr(sched, "_SEARCH_BUDGET", work)
-    assert search(sample_jobs, p4).makespan == 1300.203094777563
+    assert search(sample_jobs, cluster).makespan == makespan
     monkeypatch.setattr(sched, "_SEARCH_BUDGET", work - 1)
     refusal = f"^{re.escape(message)} > search budget {work - 1}$"
     with pytest.raises(SearchSpaceTooLarge, match=refusal):
-        search(sample_jobs, p4)
+        search(sample_jobs, cluster)
 
 
 def test_permutation_search_refuses_more_width_vectors_than_the_budget(p4, monkeypatch):
